@@ -703,7 +703,7 @@ def synthetic_timeline(starts=(0, 5_000_000), counts=(10, 20),
 
 
 def synthetic_perf(walk_ratio, flush_ratio, par8_ratio=3.0,
-                   par8_min=2.5, aged_ratio=2.5, frame_ratio=4.0):
+                   par8_min=2.5, frame_ratio=4.0):
     """A minimal daxvm-bench-perf-v1 document."""
     return {
         "schema": PERF_SCHEMA,
@@ -717,9 +717,6 @@ def synthetic_perf(walk_ratio, flush_ratio, par8_ratio=3.0,
             "flush_loop": {"fast_ns": 30000.0,
                            "ref_ns": 30000.0 * flush_ratio,
                            "ratio": flush_ratio, "min_ratio": 1.5},
-            "aged_alloc": {"fast_ns": 450.0,
-                           "ref_ns": 450.0 * aged_ratio,
-                           "ratio": aged_ratio, "min_ratio": 1.5},
             "frame_churn": {"fast_ns": 50.0,
                             "ref_ns": 50.0 * frame_ratio,
                             "ratio": frame_ratio, "min_ratio": 1.5},
@@ -821,9 +818,6 @@ def cmd_selftest(args):
     checks.append(("perf ratios above minimum pass", not perf_gate(perf)))
     checks.append(("perf ratio below minimum caught",
                    len(perf_gate(synthetic_perf(1.2, 2.6))) == 1))
-    checks.append(("aged-alloc ratio below minimum caught",
-                   len(perf_gate(
-                       synthetic_perf(1.8, 2.6, aged_ratio=1.2))) == 1))
     checks.append(("frame-churn ratio below minimum caught",
                    len(perf_gate(
                        synthetic_perf(1.8, 2.6, frame_ratio=1.2))) == 1))
@@ -851,9 +845,9 @@ def cmd_selftest(args):
                                 PERF_DEFAULT_THRESHOLD)
     checks.append(("perf-diff ratio drop caught", len(regs) == 1))
     regs, _ = perf_diff_results(
-        perf, synthetic_perf(1.8, 2.6, aged_ratio=1.6),
+        perf, synthetic_perf(1.8, 2.6, frame_ratio=2.9),
         PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff aged-alloc drop caught", len(regs) == 1))
+    checks.append(("perf-diff frame-churn drop caught", len(regs) == 1))
     regs, _ = perf_diff_results(perf, synthetic_perf(3.0, 4.0),
                                 PERF_DEFAULT_THRESHOLD)
     checks.append(("perf-diff improvements pass", not regs))

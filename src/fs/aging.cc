@@ -64,7 +64,14 @@ ageFileSystem(FileSystem &fs, const AgingConfig &config)
     const auto utilTarget = static_cast<std::uint64_t>(
         config.targetUtilization * static_cast<double>(capacityBytes));
 
-    std::vector<std::string> live;
+    // Live files with their allocated bytes, so deletion needs no
+    // path lookup.
+    struct LiveFile
+    {
+        std::string path;
+        std::uint64_t bytes;
+    };
+    std::vector<LiveFile> live;
     std::uint64_t liveBytes = 0;
     std::uint64_t serial = 0;
 
@@ -87,15 +94,16 @@ ageFileSystem(FileSystem &fs, const AgingConfig &config)
                    < rounded + (8ULL << 20)) {
             return false;
         }
-        std::ostringstream name;
-        name << config.prefix << serial++;
-        const Ino ino = fs.create(scratch, name.str());
+        std::string name = config.prefix + std::to_string(serial++);
+        const Ino ino = fs.create(scratch, name);
         if (!fs.fallocateSetup(ino, size)) {
-            fs.unlink(scratch, name.str());
+            fs.unlink(scratch, name);
             return false;
         }
-        live.push_back(name.str());
-        liveBytes += fs.inode(ino).allocatedBlocks() * kBlockSize;
+        const std::uint64_t bytes =
+            fs.inode(ino).allocatedBlocks() * kBlockSize;
+        live.push_back({std::move(name), bytes});
+        liveBytes += bytes;
         report.filesCreated++;
         report.bytesWritten += size;
         return true;
@@ -105,10 +113,8 @@ ageFileSystem(FileSystem &fs, const AgingConfig &config)
         if (live.empty())
             return;
         const std::uint64_t idx = rng.below(live.size());
-        const std::string path = live[idx];
-        const Ino ino = *fs.lookupPath(path);
-        liveBytes -= fs.inode(ino).allocatedBlocks() * kBlockSize;
-        fs.unlink(scratch, path);
+        liveBytes -= live[idx].bytes;
+        fs.unlink(scratch, live[idx].path);
         live[idx] = live.back();
         live.pop_back();
         report.filesDeleted++;

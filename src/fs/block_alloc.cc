@@ -70,11 +70,11 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
                 continue;
             const std::uint64_t head = aligned - start;
             const std::uint64_t tail = start + len - aligned - remaining;
-            map.erase(it);
+            const auto next = map.erase(it);
             if (head > 0)
-                map.emplace(start, head);
+                map.emplace_hint(next, start, head);
             if (tail > 0)
-                map.emplace(aligned + remaining, tail);
+                map.emplace_hint(next, aligned + remaining, tail);
             out.push_back({aligned, remaining});
             pool -= remaining;
             return out;
@@ -89,9 +89,10 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
                 out.push_back({it->first, remaining});
                 const std::uint64_t start = it->first;
                 const std::uint64_t len = it->second;
-                map.erase(it);
+                const auto next = map.erase(it);
                 if (len > remaining)
-                    map.emplace(start + remaining, len - remaining);
+                    map.emplace_hint(next, start + remaining,
+                                     len - remaining);
                 pool -= remaining;
                 remaining = 0;
                 return true;
@@ -111,9 +112,9 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
         const std::uint64_t len = it->second;
         const std::uint64_t take = len < remaining ? len : remaining;
         out.push_back({start, take});
-        map.erase(it);
+        const auto next = map.erase(it);
         if (len > take)
-            map.emplace(start + take, len - take);
+            map.emplace_hint(next, start + take, len - take);
         pool -= take;
         remaining -= take;
     };
@@ -253,36 +254,25 @@ BlockAllocator::removeRange(ExtentMap &map, std::uint64_t start,
     const std::uint64_t end = start + count;
     std::uint64_t removed = 0;
 
-    // Index-based: ExtentMap mutation invalidates vector iterators, so
-    // the cursor is re-derived from the index each pass.
-    std::size_t i =
-        static_cast<std::size_t>(map.upper_bound(start) - map.begin());
-    if (i > 0)
-        --i;
-    while (i < map.size()) {
-        auto it = map.begin() + static_cast<std::ptrdiff_t>(i);
+    auto it = map.upper_bound(start);
+    if (it != map.begin())
+        --it;
+    while (it != map.end() && it->first < end) {
         const std::uint64_t runStart = it->first;
-        if (runStart >= end)
-            break;
         const std::uint64_t runEnd = runStart + it->second;
         if (runEnd <= start) {
-            ++i;
+            ++it;
             continue;
         }
         const std::uint64_t cutStart = runStart > start ? runStart : start;
         const std::uint64_t cutEnd = runEnd < end ? runEnd : end;
         removed += cutEnd - cutStart;
-        map.erase(it);
-        // Surviving head/tail pieces re-insert in front of the cursor;
-        // step past them so the scan resumes at the next original run.
-        if (runStart < cutStart) {
-            map.emplace(runStart, cutStart - runStart);
-            ++i;
-        }
-        if (cutEnd < runEnd) {
-            map.emplace(cutEnd, runEnd - cutEnd);
-            ++i;
-        }
+        // Surviving head/tail pieces go in front of the next run.
+        it = map.erase(it);
+        if (runStart < cutStart)
+            map.emplace_hint(it, runStart, cutStart - runStart);
+        if (cutEnd < runEnd)
+            map.emplace_hint(it, cutEnd, runEnd - cutEnd);
     }
     return removed;
 }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "fs/extent.h"
-#include "fs/extent_map.h"
 #include "fs/seg_pool.h"
 #include "sim/stats.h"
 #include "sim/time.h"
@@ -37,7 +36,7 @@ namespace dax::fs {
  * Free-space strategy for the data-block allocator
  * (docs/performance.md "Allocator strategies").
  *
- *  - FirstFit (default): goal-directed first-fit scan over the sorted
+ *  - FirstFit (default): goal-directed first-fit scan over the ordered
  *    extent map. Placement matches ext4's goal heuristic; cost grows
  *    with the free-extent count on an aged image.
  *  - Segregated: power-of-two size-class bins with an occupancy

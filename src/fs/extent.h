@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 
 #include "mem/device.h"
 
@@ -36,5 +37,13 @@ struct FileExtent
 
     bool operator==(const FileExtent &) const = default;
 };
+
+/**
+ * Coalesced free-run map (start block -> length) behind the block
+ * allocator's pools. Node-based on purpose: an aged image holds
+ * thousands of runs, so O(log n) insert/erase beats a sorted vector's
+ * memmove (docs/performance.md).
+ */
+using ExtentMap = std::map<std::uint64_t, std::uint64_t>;
 
 } // namespace dax::fs

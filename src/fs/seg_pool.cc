@@ -368,7 +368,7 @@ SegregatedPool::materialize(ExtentMap &out) const
     std::sort(runs.begin(), runs.end());
     out.clear();
     for (const auto &[start, len] : runs)
-        out.emplace(start, len); // ascending appends: O(1) amortized
+        out.emplace_hint(out.end(), start, len); // O(1) amortized
 }
 
 std::vector<std::string>

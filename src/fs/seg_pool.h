@@ -3,7 +3,7 @@
  * Size-segregated free-block pool: the O(1) allocation strategy behind
  * fs::BlockAllocator's AllocPolicy::Segregated mode.
  *
- * The first-fit policy keeps free space in one sorted vector and scans
+ * The first-fit policy keeps free space in one ordered map and scans
  * it, which degrades toward O(free-extents) per allocation on an aged
  * image (hundreds to thousands of extents after Geriatrix-style
  * churn). This pool keeps the same *population* of coalesced free runs
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "fs/extent.h"
-#include "fs/extent_map.h"
 #include "sim/flat_hash.h"
 
 namespace dax::fs {

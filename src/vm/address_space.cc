@@ -216,10 +216,14 @@ AddressSpace::munmap(sim::Cpu &cpu, std::uint64_t va, std::uint64_t len)
     const std::uint64_t end = va + len;
 
     sim::ScopedWriteLock guard(mmapSem_, cpu);
-    // Collect overlapping VMAs.
+    // Collect overlapping VMAs: VMAs never overlap, so only the one
+    // starting at or before va can reach into the range from below.
     std::vector<std::uint64_t> starts;
-    for (auto it = vmas_.begin(); it != vmas_.end(); ++it) {
-        if (it->second.start < end && it->second.end > va)
+    auto it = vmas_.upper_bound(va);
+    if (it != vmas_.begin())
+        --it;
+    for (; it != vmas_.end() && it->second.start < end; ++it) {
+        if (it->second.end > va)
             starts.push_back(it->first);
     }
     if (starts.empty())

@@ -143,6 +143,60 @@ TEST(Munmap, PartialSplitsVma)
                  std::runtime_error);
 }
 
+TEST(Munmap, MiddleRangeAcrossManyVmas)
+{
+    Fixture f;
+    constexpr std::uint64_t kLen = 4 * 4096;
+    const fs::Ino ino = f.system.makeFile("/f", 12 * kLen, 12 * kLen);
+    std::vector<std::uint64_t> vas;
+    for (std::uint64_t i = 0; i < 12; i++) {
+        vas.push_back(f.as->mmap(f.cpu, ino, i * kLen, kLen, false, 0));
+        ASSERT_EQ(vas[i], vas[0] + i * kLen); // back to back
+        f.as->memRead(f.cpu, vas[i], kLen, mem::Pattern::Seq);
+    }
+    // From the middle of VMA 2 (which starts before va) to the middle
+    // of VMA 9.
+    const std::uint64_t va = vas[2] + 2 * 4096;
+    const std::uint64_t end = vas[9] + 2 * 4096;
+    ASSERT_TRUE(f.as->munmap(f.cpu, va, end - va));
+
+    struct Span
+    {
+        std::uint64_t start, end, fileOff;
+        bool operator==(const Span &) const = default;
+    };
+    auto spans = [&]() {
+        std::vector<Span> out;
+        for (const auto &[start, vma] : f.as->vmas())
+            out.push_back({start, vma.end, vma.fileOff});
+        return out;
+    };
+    std::vector<Span> want = {
+        {vas[0], vas[0] + kLen, 0},
+        {vas[1], vas[1] + kLen, kLen},
+        {vas[2], va, 2 * kLen},
+        {end, vas[9] + kLen, 9 * kLen + 2 * 4096},
+        {vas[10], vas[10] + kLen, 10 * kLen},
+        {vas[11], vas[11] + kLen, 11 * kLen},
+    };
+    EXPECT_EQ(spans(), want);
+    for (const Span &s : want) {
+        std::uint8_t b = 0;
+        f.as->memRead(f.cpu, s.start, 1, mem::Pattern::Rand, &b);
+        EXPECT_EQ(b, sys::System::patternByte(ino, s.fileOff));
+    }
+    EXPECT_THROW(f.as->memRead(f.cpu, va, 1, mem::Pattern::Rand),
+                 std::runtime_error);
+    EXPECT_THROW(f.as->memRead(f.cpu, end - 1, 1, mem::Pattern::Rand),
+                 std::runtime_error);
+
+    // Starting inside the hole: the VMA before va ends short of it and
+    // must be left alone; only the trimmed VMA 9 is cut again.
+    ASSERT_TRUE(f.as->munmap(f.cpu, vas[5], end + 4096 - vas[5]));
+    want[3] = {end + 4096, vas[9] + kLen, 9 * kLen + 3 * 4096};
+    EXPECT_EQ(spans(), want);
+}
+
 TEST(Munmap, ReturnsFalseWhenNothingMapped)
 {
     Fixture f;
