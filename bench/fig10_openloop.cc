@@ -20,12 +20,10 @@
  * set the total request count across tenants and load points
  * (default 1,050,000).
  *
- * Determinism: bit-identical across double runs and across
- * DAXVM_SIM_THREADS values (tools/check_sweep --threads N). Arrival
- * generation runs as per-tenant engine tasks in their own isolation
- * domains, so `--sim-threads` parallelizes phase 1 across host
- * shards; the service phase shares one domain (the tenants contend
- * for the same locks and devices, which demands exact ordering).
+ * Determinism: bit-identical across double runs (tools/check_sweep).
+ * Arrival generation runs as per-tenant engine tasks in phase 1; in
+ * phase 2 the tenants' servers contend for the same locks and
+ * devices under exact min-clock ordering.
  */
 #include <algorithm>
 #include <array>
@@ -189,13 +187,11 @@ main(int argc, char **argv)
                 system, specs[t], stream));
         }
 
-        // Phase 1: arrival synthesis, one isolation domain per
-        // tenant (parallel under --sim-threads), plus the YCSB
-        // preload in the shared domain.
+        // Phase 1: arrival synthesis, one task per tenant, plus the
+        // YCSB preload.
         for (std::size_t t = 0; t < tenants.size(); t++) {
             system.engine().addThread(tenants[t]->makeGenTask(),
-                                      static_cast<int>(t), 0,
-                                      /*domain=*/1 + static_cast<int>(t));
+                                      static_cast<int>(t));
             if (auto preload = tenants[t]->makePreloadTask())
                 system.engine().addThread(std::move(preload),
                                           static_cast<int>(t));
@@ -203,7 +199,7 @@ main(int argc, char **argv)
         system.engine().run();
 
         // Phase 2: serve. All tenants' server pools share the engine
-        // domain - they contend on the same file system and device.
+        // - they contend on the same file system and device.
         const sim::Time base = system.quiesceTime();
         std::vector<std::unique_ptr<sim::Task>> servers;
         for (auto &tenant : tenants) {

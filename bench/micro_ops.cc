@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
 
 #include "bench/common.h"
@@ -499,44 +498,6 @@ BM_EngineRun16Threads(benchmark::State &state)
 }
 BENCHMARK(BM_EngineRun16Threads);
 
-/** Workload shape of BM_EngineRunParallel (and its perf-JSON rows). */
-constexpr int kParallelWorkers = 16;
-constexpr int kParallelQuanta = 20000;
-
-/**
- * Host cost of the sharded parallel engine (docs/engine.md): 16
- * workers, each its own isolation domain so the shard assignment can
- * spread them across simThreads = Arg host threads. Quanta lengths
- * vary per worker so the shards do not run in lockstep, and the
- * lookahead is large relative to the quanta so epoch barriers stay
- * off the critical path. Arg=1 is the sequential reference loop; the
- * BM_EngineRunParallel/1-over-/N wall-clock ratio is the
- * "parallel_scaling" series gated by scripts/bench_diff.py perf.
- */
-void
-BM_EngineRunParallel(benchmark::State &state)
-{
-    const auto simThreads = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        sim::Engine engine(kParallelWorkers);
-        engine.setParallelism(simThreads, /*lookaheadNs=*/1 << 20);
-        for (int t = 0; t < kParallelWorkers; t++) {
-            int steps = 0;
-            const sim::Time quantum = 90 + 5 * (t % 5);
-            engine.addThread(std::make_unique<sim::FnTask>(
-                                 [steps, quantum](sim::Cpu &cpu) mutable {
-                                     cpu.advance(quantum);
-                                     return ++steps < kParallelQuanta;
-                                 }),
-                             -1, 0, /*domain=*/t + 1);
-        }
-        benchmark::DoNotOptimize(engine.run());
-    }
-    state.SetItemsProcessed(state.iterations() * kParallelWorkers
-                            * kParallelQuanta);
-}
-BENCHMARK(BM_EngineRunParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 /**
  * Console reporter that also captures per-benchmark adjusted real time
  * so the run can be serialized as a BenchResult like the figure
@@ -625,46 +586,6 @@ writePerfJson(const std::string &path, const bench::FigureData &fig)
     const double engineNs = nsOf(fig, "BM_EngineRun16Threads");
     root["events_per_sec"] =
         sim::Json(engineNs > 0 ? 16000.0 * 1e9 / engineNs : 0.0);
-
-    // Sharded parallel engine scaling (docs/engine.md). Wall-clock
-    // speedup is bounded by the host's core count, so the gate is
-    // machine-adaptive: the acceptance floor (>= 2.5x at 8 sim
-    // threads) applies on hosts with >= 8 CPUs; smaller hosts get
-    // floors matched to their effective parallelism, and a 1-CPU host
-    // only asserts that the sharded scheduler does not regress the
-    // sequential loop badly (its per-epoch min-scan covers one shard's
-    // members instead of every thread, which is usually a wash or a
-    // small win even without host parallelism).
-    const unsigned hostCpus =
-        std::max(1u, std::thread::hardware_concurrency());
-    const auto minRatioFor = [hostCpus](unsigned n) {
-        const unsigned effective = std::min(n, hostCpus);
-        if (effective >= 8)
-            return 2.5;
-        if (effective >= 4)
-            return 1.8;
-        if (effective >= 2)
-            return 1.2;
-        return 0.85;
-    };
-    const double seqNs = nsOf(fig, "BM_EngineRunParallel/1");
-    const double itemsPerIter =
-        static_cast<double>(kParallelWorkers) * kParallelQuanta;
-    sim::Json scaling = sim::Json::object();
-    scaling["host_cpus"] =
-        sim::Json(static_cast<std::uint64_t>(hostCpus));
-    for (const unsigned n : {1u, 2u, 4u, 8u}) {
-        const double ns =
-            nsOf(fig, "BM_EngineRunParallel/" + std::to_string(n));
-        sim::Json s = sim::Json::object();
-        s["ns"] = sim::Json(ns);
-        s["events_per_sec"] =
-            sim::Json(ns > 0 ? itemsPerIter * 1e9 / ns : 0.0);
-        s["ratio"] = sim::Json(seqNs > 0 && ns > 0 ? seqNs / ns : 0.0);
-        s["min_ratio"] = sim::Json(minRatioFor(n));
-        scaling["threads_" + std::to_string(n)] = std::move(s);
-    }
-    root["parallel_scaling"] = std::move(scaling);
 
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {

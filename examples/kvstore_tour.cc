@@ -66,14 +66,14 @@ runStore(const char *label, const AccessOptions &access)
                 static_cast<double>(total - loadTime) / 1e6);
     std::printf("           faults=%llu wp=%llu daxvm_wp=%llu "
                 "journal_commits=%llu prezeroed_blocks=%llu\n",
-                (unsigned long long)system.vmm().stats().get(
+                (unsigned long long)system.metrics().counterValue(
                     "vm.faults"),
-                (unsigned long long)system.vmm().stats().get(
+                (unsigned long long)system.metrics().counterValue(
                     "vm.wp_faults"),
-                (unsigned long long)system.vmm().stats().get(
+                (unsigned long long)system.metrics().counterValue(
                     "vm.daxvm_wp_faults"),
                 (unsigned long long)system.fs().journal().commits(),
-                (unsigned long long)system.fs().stats().get(
+                (unsigned long long)system.metrics().counterValue(
                     "fs.prezeroed_blocks"));
 }
 

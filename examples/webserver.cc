@@ -55,7 +55,7 @@ serve(const char *label, const AccessOptions &access, unsigned threads)
                 "(mmap_sem writer wait %6.1f ms, IPIs %llu)\n",
                 label, threads, rps,
                 static_cast<double>(sem.writeStats().waitNs) / 1e6,
-                (unsigned long long)system.hub().stats().get(
+                (unsigned long long)system.metrics().counterValue(
                     "tlb.ipis"));
     return rps;
 }

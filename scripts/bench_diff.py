@@ -13,11 +13,8 @@ Every bench binary emits a BenchResult JSON (schema
   perf FILE...           schema-check host-perf baselines (schema
                          daxvm-bench-perf-v1, emitted by
                          micro_ops --perf-json) and fail when any
-                         fast/reference speedup ratio - or any
-                         parallel-engine scaling ratio - is below its
-                         required min_ratio (micro_ops embeds
-                         parallel min_ratios adapted to the measuring
-                         host's CPU count, see docs/engine.md)
+                         fast/reference speedup ratio is below its
+                         required min_ratio
   perf-diff OLD NEW      compare two host-perf baselines; gate on the
                          machine-portable speedup ratios (lower is a
                          regression, generous --threshold default 25%
@@ -425,34 +422,6 @@ def validate_perf(doc, name):
     if not finite_number(doc.get("events_per_sec")) \
             or doc.get("events_per_sec") <= 0:
         problems.append(f"{name}: 'events_per_sec' invalid")
-    # Optional sharded-parallel-engine scaling section (absent from
-    # baselines that predate docs/engine.md).
-    if "parallel_scaling" in doc:
-        scaling = doc["parallel_scaling"]
-        if not isinstance(scaling, dict):
-            problems.append(f"{name}: 'parallel_scaling' not an object")
-        else:
-            cpus = scaling.get("host_cpus")
-            if not finite_number(cpus) or cpus < 1:
-                problems.append(
-                    f"{name}: parallel_scaling.host_cpus invalid")
-            rows = [k for k in scaling if k.startswith("threads_")]
-            if not rows:
-                problems.append(
-                    f"{name}: parallel_scaling has no threads_N rows")
-            for key in sorted(rows):
-                s = scaling[key]
-                if not isinstance(s, dict):
-                    problems.append(
-                        f"{name}: parallel_scaling[{key!r}] not an object")
-                    continue
-                for field in ("ns", "events_per_sec", "ratio",
-                              "min_ratio"):
-                    if not finite_number(s.get(field)) \
-                            or s.get(field) <= 0:
-                        problems.append(
-                            f"{name}: parallel_scaling[{key!r}]"
-                            f".{field} invalid")
     return problems
 
 
@@ -469,23 +438,6 @@ def perf_gate(doc):
             failures.append(
                 f"{key}: speedup {ratio:.2f}x below required "
                 f"{required:.2f}x")
-    # Parallel-engine scaling: min_ratio was embedded by micro_ops for
-    # the host that produced this document, so the gate is always
-    # apples-to-apples (a 1-CPU runner never has to hit the 8-CPU
-    # acceptance floor of 2.5x).
-    scaling = doc.get("parallel_scaling", {})
-    if isinstance(scaling, dict):
-        for key in sorted(k for k in scaling if k.startswith("threads_")):
-            s = scaling[key]
-            if not isinstance(s, dict):
-                continue
-            ratio = s.get("ratio", 0.0)
-            required = s.get("min_ratio", 0.0)
-            if finite_number(ratio) and finite_number(required) \
-                    and ratio < required:
-                failures.append(
-                    f"parallel_scaling.{key}: {ratio:.2f}x below "
-                    f"required {required:.2f}x")
     return failures
 
 
@@ -507,16 +459,6 @@ def cmd_perf(args):
                   f"(required >= {s['min_ratio']:.2f}x)")
         print(f"perf: {name}: events_per_sec "
               f"{doc['events_per_sec']:.0f}")
-        scaling = doc.get("parallel_scaling", {})
-        if isinstance(scaling, dict) and scaling:
-            cpus = scaling.get("host_cpus", "?")
-            for key in sorted(k for k in scaling
-                              if k.startswith("threads_")):
-                s = scaling[key]
-                print(f"perf: {name}: parallel {key} "
-                      f"{s['ratio']:.2f}x "
-                      f"(required >= {s['min_ratio']:.2f}x, "
-                      f"host_cpus={cpus})")
         problems += [f"{name}: {f}" for f in perf_gate(doc)]
     for p in problems:
         print(f"bench_diff: {p}", file=sys.stderr)
@@ -577,26 +519,6 @@ def perf_diff_results(old, new, threshold):
             lines.append(f"primitives_ns.{key}: {base:.1f} -> {v:.1f} "
                          f"({pct:+.1f}%) [informational]")
 
-    # Parallel-engine scaling ratios depend on the host's core count
-    # (a laptop baseline vs an 8-core runner is not a regression), so
-    # cross-machine diffs report swings but never gate; the absolute
-    # floor lives in each document's own min_ratio, enforced by `perf`.
-    old_par = old.get("parallel_scaling", {})
-    new_par = new.get("parallel_scaling", {})
-    if isinstance(old_par, dict) and isinstance(new_par, dict):
-        for key in sorted(set(old_par) & set(new_par)):
-            if not key.startswith("threads_"):
-                continue
-            base = old_par[key].get("ratio")
-            v = new_par[key].get("ratio")
-            if not finite_number(base) or not finite_number(v) \
-                    or base == 0:
-                continue
-            pct = pct_change(base, v)
-            if abs(pct) > threshold:
-                lines.append(
-                    f"parallel_scaling.{key}.ratio: {base:.2f}x -> "
-                    f"{v:.2f}x ({pct:+.1f}%) [informational]")
     return regressions, lines
 
 
@@ -702,8 +624,7 @@ def synthetic_timeline(starts=(0, 5_000_000), counts=(10, 20),
     }
 
 
-def synthetic_perf(walk_ratio, flush_ratio, par8_ratio=3.0,
-                   par8_min=2.5, frame_ratio=4.0):
+def synthetic_perf(walk_ratio, flush_ratio, frame_ratio=4.0):
     """A minimal daxvm-bench-perf-v1 document."""
     return {
         "schema": PERF_SCHEMA,
@@ -722,14 +643,6 @@ def synthetic_perf(walk_ratio, flush_ratio, par8_ratio=3.0,
                             "ratio": frame_ratio, "min_ratio": 1.5},
         },
         "events_per_sec": 25e6,
-        "parallel_scaling": {
-            "host_cpus": 8,
-            "threads_1": {"ns": 8e6, "events_per_sec": 40e6,
-                          "ratio": 1.0, "min_ratio": 0.85},
-            "threads_8": {"ns": 8e6 / par8_ratio,
-                          "events_per_sec": 40e6 * par8_ratio,
-                          "ratio": par8_ratio, "min_ratio": par8_min},
-        },
     }
 
 
@@ -821,20 +734,6 @@ def cmd_selftest(args):
     checks.append(("frame-churn ratio below minimum caught",
                    len(perf_gate(
                        synthetic_perf(1.8, 2.6, frame_ratio=1.2))) == 1))
-    checks.append(("parallel scaling below minimum caught",
-                   len(perf_gate(
-                       synthetic_perf(1.8, 2.6, par8_ratio=2.0))) == 1))
-    checks.append(("parallel min_ratio adapts to small hosts",
-                   not perf_gate(synthetic_perf(
-                       1.8, 2.6, par8_ratio=0.9, par8_min=0.85))))
-    legacy = synthetic_perf(1.8, 2.6)
-    del legacy["parallel_scaling"]
-    checks.append(("baseline without parallel_scaling validates",
-                   not validate_perf(legacy, "selftest-legacy")))
-    malformed = synthetic_perf(1.8, 2.6)
-    del malformed["parallel_scaling"]["threads_8"]["ratio"]
-    checks.append(("malformed parallel_scaling rejected",
-                   bool(validate_perf(malformed, "selftest-malformed"))))
 
     # perf-diff: identical pair passes, a >25% ratio drop is caught,
     # improvements and machine-dependent ns swings never gate.
@@ -858,14 +757,6 @@ def cmd_selftest(args):
     regs, _ = perf_diff_results(perf, slower_host,
                                 PERF_DEFAULT_THRESHOLD)
     checks.append(("perf-diff raw ns never gates", not regs))
-    # A 1-CPU host baseline diffed against an 8-CPU one swings the
-    # parallel ratios wildly; that must be reported, never gated.
-    regs, lines = perf_diff_results(
-        perf, synthetic_perf(1.8, 2.6, par8_ratio=0.9, par8_min=0.85),
-        PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff parallel ratios never gate",
-                   not regs and any("parallel_scaling" in ln
-                                    for ln in lines)))
 
     ok = True
     for name, passed in checks:

@@ -18,8 +18,7 @@ ShootdownHub::ShootdownHub(const sim::CostModel &cm, unsigned nCores,
       ownedMetrics_(metrics != nullptr
                         ? nullptr
                         : std::make_unique<sim::MetricsRegistry>(nCores)),
-      metrics_(metrics != nullptr ? metrics : ownedMetrics_.get()),
-      stats_(*metrics_)
+      metrics_(metrics != nullptr ? metrics : ownedMetrics_.get())
 {
     if (nCores > 64)
         throw std::invalid_argument("CoreMask supports at most 64 cores");
@@ -64,7 +63,7 @@ ShootdownHub::disturbRemotes(sim::Cpu &cpu, CoreMask targets, int self)
             // victim's ipi_disruption span at its next quantum start
             // (drainDisruption), attributing the stall to this
             // initiator. Ids come from the initiator's own track, so
-            // they are deterministic under any shard count.
+            // they are deterministic.
             if (flows) {
                 pendingFlowIds_[c].push_back(rec.flowStart(
                     sim::TraceCat::Shootdown, sim::spanTrackOf(cpu),

@@ -20,7 +20,6 @@
 #include "daxvm/async_unmap.h"
 #include "daxvm/file_table.h"
 #include "sim/metrics.h"
-#include "sim/stats.h"
 #include "vm/address_space.h"
 #include "vm/manager.h"
 
@@ -83,7 +82,6 @@ class DaxVm
 
     AsyncUnmapper &unmapper() { return unmapper_; }
     FileTableManager &tables() { return tables_; }
-    sim::StatSet &stats() { return stats_; }
 
   private:
     /** Attachment span/level for a file of @p bytes. */
@@ -110,9 +108,7 @@ class DaxVm
     vm::VmManager &vmm_;
     FileTableManager &tables_;
     AsyncUnmapper unmapper_;
-    /** View on the VmManager's registry (DaxVm shares its scope). */
-    sim::StatSet stats_;
-    /** Typed hot-path instruments (legacy names, see sim/metrics.h). */
+    /** Typed hot-path instruments (see sim/metrics.h). */
     struct
     {
         sim::Counter mmap;

@@ -23,7 +23,6 @@
 
 #include "fs/extent.h"
 #include "fs/seg_pool.h"
-#include "sim/stats.h"
 #include "sim/time.h"
 
 namespace dax::sim {

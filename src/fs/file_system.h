@@ -31,7 +31,6 @@
 #include "mem/device.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
-#include "sim/stats.h"
 
 namespace dax::fs {
 
@@ -300,7 +299,6 @@ class FileSystem
     BlockAllocator &allocator() { return alloc_; }
     Journal &journal() { return journal_; }
     mem::Device &device() { return pmem_; }
-    sim::StatSet &stats() { return stats_; }
     sim::MetricsRegistry &metricsRegistry() { return *metrics_; }
 
     void addHooks(FsHooks *hooks) { hooks_.push_back(hooks); }
@@ -359,8 +357,7 @@ class FileSystem
     /** Plain members, not registry metrics (byte-identity: see above). */
     std::uint64_t mceRepaired_ = 0;
     std::uint64_t mceFailed_ = 0;
-    sim::StatSet stats_;
-    /** Typed hot-path instruments (legacy names, see sim/metrics.h). */
+    /** Typed hot-path instruments (see sim/metrics.h). */
     struct
     {
         sim::Counter creates;

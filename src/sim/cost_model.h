@@ -211,23 +211,6 @@ struct CostModel
     {
         return remoteCores == 0 ? 0 : ipiBase + ipiPerCore * remoteCores;
     }
-
-    /**
-     * Conservative lookahead for the parallel engine (docs/engine.md):
-     * the minimum latency of any cross-shard interaction the model can
-     * express -- an IPI (ipiBase), one device arbitration quantum
-     * (pmemLoadLat), or a contended lock hand-off (rwsemWriterAtomics).
-     * Two isolation domains can never influence each other in less
-     * virtual time than this, so each shard may advance this far past
-     * the global minimum clock before a barrier.
-     */
-    Time
-    crossShardLookahead() const
-    {
-        const Time la = std::min(
-            ipiBase, std::min(pmemLoadLat, rwsemWriterAtomics));
-        return la > 0 ? la : 1;
-    }
 };
 
 /**

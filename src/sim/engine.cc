@@ -1,28 +1,7 @@
 /**
  * @file
- * Min-clock deterministic scheduler implementation.
- *
- * Two executors share one scheduling rule (step the runnable thread
- * with the smallest clock, ties to the lowest thread id):
- *
- *  - runSequentialLoop(): the classic single-host-thread loop, kept
- *    as the reference implementation (simThreads == 1).
- *  - runParallelLoop(): conservative parallel execution. Every epoch
- *    starts from the global minimum runnable clock E0, advances each
- *    shard independently (on its own host thread) while quantum
- *    starts stay below the horizon E0 + lookahead, then synchronizes
- *    at a barrier. Cross-domain wakes carry an effect time of at
- *    least callerQuantumStart + lookahead, which is >= the horizon of
- *    the epoch that sent them -- so no shard can ever observe one
- *    "late", and per-domain step order is identical to the
- *    sequential executor's (the determinism argument, spelled out in
- *    docs/engine.md).
- *
- * Determinism hinges on explicit merge orders: shard inboxes are
- * drained in ascending (at, srcShard, seq); per-shard step counters
- * merge at the barrier in ascending shard index; the exit horizon is
- * a max over shards (commutative). Nothing merged depends on host
- * completion order.
+ * Min-clock deterministic scheduler implementation: step the runnable
+ * thread with the smallest clock, ties to the lowest thread id.
  */
 #include "sim/engine.h"
 
@@ -34,36 +13,6 @@
 
 namespace dax::sim {
 
-namespace {
-
-/**
- * Host-thread-local context of the quantum being stepped, used by
- * wake() to tell same-domain wakes from cross-domain ones and to read
- * the caller's quantum-start clock without a shared variable. Nested
- * engines (a task running an inner Engine::run()) save and restore it
- * around each step.
- */
-struct StepCtx
-{
-    Engine *engine = nullptr;
-    unsigned shardIdx = 0;
-    int domain = 0;
-    Time quantumStart = 0;
-    int threadId = -1; ///< stepping thread (= its span track)
-};
-
-thread_local StepCtx tlsStepCtx;
-
-Time
-saturatingAdd(Time a, Time b)
-{
-    return a > std::numeric_limits<Time>::max() - b
-               ? std::numeric_limits<Time>::max()
-               : a + b;
-}
-
-} // namespace
-
 Engine::Engine(unsigned nCores)
     : nCores_(nCores)
 {
@@ -71,87 +20,40 @@ Engine::Engine(unsigned nCores)
         throw std::invalid_argument("Engine needs at least one core");
 }
 
-Engine::~Engine()
-{
-    shutdownPool();
-}
-
 Time
 Cpu::pruneHorizon() const
 {
-    return engine_ != nullptr ? engine_->pruneHorizonFor(*this) : now_;
-}
-
-Time
-Engine::pruneHorizonFor(const Cpu &cpu) const
-{
-    // Shard-local bound while a parallel run is stepping; the global
-    // horizon otherwise (sequential runs, and between runs). A shard
-    // only prunes queueing state its own domain touches, so its own
-    // horizon is a sound lower bound on future requests to that state.
-    if (running_ && simThreads_ > 1) {
-        const int id = cpu.threadId();
-        if (id >= 0 && static_cast<std::size_t>(id) < threads_.size())
-            return shards_[threads_[id]->shard]->safeHorizon;
-    }
-    return safeHorizon_;
+    return engine_ != nullptr ? engine_->safeHorizon() : now_;
 }
 
 int
-Engine::addInternal(std::unique_ptr<Task> task, int core, bool daemon,
-                    int domain)
+Engine::addInternal(std::unique_ptr<Task> task, int core, bool daemon)
 {
-    if (domain < 0)
-        throw std::invalid_argument("Engine: negative domain");
-    if (running_ && simThreads_ > 1)
-        throw std::logic_error(
-            "Engine: cannot add threads during a parallel run");
     const int id = static_cast<int>(threads_.size());
     int coreId = core;
     if (coreId < 0) {
         coreId = static_cast<int>(nextCore_ % nCores_);
         nextCore_++;
     }
-    auto state = std::make_unique<ThreadState>(
+    threads_.push_back(std::make_unique<ThreadState>(
         ThreadState{std::move(task), Cpu(this, id, coreId), daemon,
-                    /*parked=*/daemon, /*done=*/false, domain,
-                    /*shard=*/0});
-    threads_.push_back(std::move(state));
+                    /*parked=*/daemon, /*done=*/false}));
     return id;
 }
 
 int
 Engine::addThread(std::unique_ptr<Task> task, int core, Time startAt,
-                  int domain)
+                  int)
 {
-    const int id =
-        addInternal(std::move(task), core, /*daemon=*/false, domain);
+    const int id = addInternal(std::move(task), core, /*daemon=*/false);
     threads_.back()->cpu.advanceTo(startAt);
     return id;
 }
 
 int
-Engine::addDaemon(std::unique_ptr<Task> task, int core, int domain)
+Engine::addDaemon(std::unique_ptr<Task> task, int core)
 {
-    return addInternal(std::move(task), core, /*daemon=*/true, domain);
-}
-
-void
-Engine::setParallelism(unsigned simThreads, Time lookaheadNs)
-{
-    if (running_)
-        throw std::logic_error(
-            "Engine: setParallelism from inside run()");
-    if (simThreads == 0)
-        throw std::invalid_argument("Engine: simThreads must be >= 1");
-    // A zero lookahead would make every epoch empty (no quantum start
-    // is strictly below the horizon), deadlocking the parallel loop.
-    if (lookaheadNs <= 0)
-        throw std::invalid_argument("Engine: lookaheadNs must be >= 1");
-    if (simThreads != simThreads_)
-        shutdownPool(); // pool is sized to the shard count
-    simThreads_ = simThreads;
-    lookahead_ = lookaheadNs;
+    return addInternal(std::move(task), core, /*daemon=*/true);
 }
 
 void
@@ -159,92 +61,25 @@ Engine::wake(int threadId, Time notBefore)
 {
     auto &t = *threads_.at(threadId);
     assert(t.daemon && "only daemons park/wake");
-    const StepCtx &ctx = tlsStepCtx;
-    const bool inStep = running_ && ctx.engine == this;
-    if (!inStep || ctx.domain == t.domain) {
-        // Same-domain (or outside run()): classic immediate wake. A
-        // parked daemon's clock can sit far behind the min clock, and
-        // a waker may pass a stale notBefore (e.g. an enqueue time
-        // recorded before it blocked). Resync to the safe horizon as
-        // well so the daemon can never observe queueing state (busy
-        // intervals, lock holds) that pruneBefore(safeHorizon) already
-        // discarded.
-        const Time horizon = inStep ? ctx.quantumStart : safeHorizon_;
-        t.cpu.advanceTo(std::max(notBefore, horizon));
-        t.parked = false;
-        // Causal arrow waker -> woken daemon. Bookkeeping only: no
-        // virtual time moves, and both pushes land on tracks this
-        // host thread owns, so ids stay deterministic per shard count.
-        if (inStep && ctx.threadId >= 0) {
-            SpanRecorder &rec = Trace::get().spans();
-            if (rec.enabled(TraceCat::Sched)) {
-                const std::uint64_t id = rec.flowStart(
-                    TraceCat::Sched,
-                    static_cast<std::uint32_t>(ctx.threadId), -1,
-                    ctx.quantumStart, "wake");
-                rec.flowEnd(
-                    TraceCat::Sched,
-                    static_cast<std::uint32_t>(t.cpu.threadId()),
-                    t.cpu.coreId(), t.cpu.now(), "wake", id);
-            }
-        }
-        return;
-    }
-    // Cross-domain: charged the cross-shard lookahead (the minimum
-    // cross-shard interaction latency) from the calling quantum's
-    // start, so the effect time is at or past the sending epoch's
-    // horizon and delivery at the target shard is causally safe. The
-    // same formula applies under simThreads == 1, keeping every shard
-    // count bit-identical.
-    const Time at = std::max(
-        notBefore, saturatingAdd(ctx.quantumStart, lookahead_));
-    std::uint64_t flowId = 0;
-    if (ctx.threadId >= 0) {
-        SpanRecorder &rec = Trace::get().spans();
-        if (rec.enabled(TraceCat::Sched))
-            flowId = rec.flowStart(
-                TraceCat::Sched,
-                static_cast<std::uint32_t>(ctx.threadId), -1,
-                ctx.quantumStart, "wake");
-    }
-    postWake(t, at, ctx.shardIdx, flowId);
-}
-
-void
-Engine::postWake(ThreadState &t, Time at, unsigned srcShard,
-                 std::uint64_t flowId)
-{
-    ShardState &src = *shards_[srcShard];
-    const PendingWake w{at, srcShard, src.wakeSeq++,
-                        t.cpu.threadId(), flowId};
-    ShardState &dst = *shards_[t.shard];
-    if (t.shard == srcShard) {
-        // Same executor host thread: insert in order, no lock needed.
-        auto it = std::upper_bound(dst.pending.begin(),
-                                   dst.pending.end(), w, wakeLess);
-        dst.pending.insert(it, w);
-    } else {
-        std::lock_guard<std::mutex> lock(dst.inboxMu);
-        dst.inbox.push_back(w);
-    }
-}
-
-void
-Engine::applyWake(const PendingWake &w)
-{
-    // The effect time is >= every prune horizon the target shard has
-    // used so far (it is past the sending epoch's barrier horizon), so
-    // no stale-clock resync is needed: the daemon lands exactly at w.at.
-    auto &t = *threads_[w.threadId];
-    t.cpu.advanceTo(w.at);
+    // A parked daemon's clock can sit far behind the min clock, and a
+    // waker may pass a stale notBefore (e.g. an enqueue time recorded
+    // before it blocked). Resync to the safe horizon as well so the
+    // daemon can never observe queueing state (busy intervals, lock
+    // holds) that pruneBefore(safeHorizon) already discarded.
+    t.cpu.advanceTo(std::max(notBefore, safeHorizon_));
     t.parked = false;
-    // Land the causal arrow on the daemon's track. Delivery points
-    // are deterministic (inboxes drain in (at, srcShard, seq) order),
-    // and the daemon's track belongs to the delivering shard.
-    if (w.flowId != 0) {
-        Trace::get().spans().flowEnd(
-            TraceCat::Sched, static_cast<std::uint32_t>(w.threadId),
-            t.cpu.coreId(), t.cpu.now(), "wake", w.flowId);
+    // Causal arrow waker -> woken daemon. Bookkeeping only: no virtual
+    // time moves.
+    if (stepping_ >= 0) {
+        SpanRecorder &rec = Trace::get().spans();
+        if (rec.enabled(TraceCat::Sched)) {
+            const std::uint64_t id = rec.flowStart(
+                TraceCat::Sched, static_cast<std::uint32_t>(stepping_),
+                -1, safeHorizon_, "wake");
+            rec.flowEnd(TraceCat::Sched,
+                        static_cast<std::uint32_t>(t.cpu.threadId()),
+                        t.cpu.coreId(), t.cpu.now(), "wake", id);
+        }
     }
 }
 
@@ -254,88 +89,22 @@ Engine::park(int threadId)
     threads_.at(threadId)->parked = true;
 }
 
-void
-Engine::assignShards()
-{
-    const unsigned nShards = simThreads_;
-    // Wakes can survive an aborted run (crash injection mid-epoch):
-    // collect them so they re-deliver under the new shard mapping.
-    std::vector<PendingWake> carried;
-    for (auto &sh : shards_) {
-        carried.insert(carried.end(), sh->pending.begin(),
-                       sh->pending.end());
-        carried.insert(carried.end(), sh->inbox.begin(),
-                       sh->inbox.end());
-    }
-    if (shards_.size() != nShards) {
-        shards_.clear();
-        for (unsigned s = 0; s < nShards; s++)
-            shards_.push_back(std::make_unique<ShardState>());
-    }
-    for (auto &sh : shards_) {
-        sh->members.clear();
-        sh->pending.clear();
-        sh->inbox.clear();
-        sh->steppedThisRun = false;
-        sh->error = nullptr;
-        sh->errorAt = 0;
-        sh->hadWorkers = false;
-        sh->liveWorkers = 0;
-    }
-    // Ascending thread id within each shard: the shard-local min-clock
-    // tie-break then equals the sequential executor's global one.
-    for (std::size_t i = 0; i < threads_.size(); i++) {
-        auto &t = *threads_[i];
-        t.shard = shardOf(t.domain);
-        ShardState &sh = *shards_[t.shard];
-        sh.members.push_back(static_cast<int>(i));
-        // Only live workers arm the retirement cut: a shard whose
-        // workers all finished in an earlier run behaves like a
-        // daemon-only shard (its daemons keep serving cross-domain
-        // wakes while workers are pending anywhere).
-        if (!t.daemon && !t.done) {
-            sh.hadWorkers = true;
-            sh.liveWorkers++;
-        }
-    }
-    std::sort(carried.begin(), carried.end(), wakeLess);
-    for (const auto &w : carried) {
-        ShardState &dst = *shards_[threads_[w.threadId]->shard];
-        dst.pending.push_back(w);
-    }
-    shardActive_.assign(nShards, 0);
-}
-
 Time
 Engine::run()
 {
     runEpoch_++;
     running_ = true;
-    // Clear the flag even when a task throws (crash injection).
+    // Clear the flags even when a task throws (crash injection).
     struct Guard
     {
-        bool &flag;
-        ~Guard() { flag = false; }
-    } guard{running_};
-    assignShards();
-    if (simThreads_ == 1)
-        runSequentialLoop();
-    else
-        runParallelLoop();
-    drainLeftoverWakes();
+        Engine &e;
+        ~Guard()
+        {
+            e.running_ = false;
+            e.stepping_ = -1;
+        }
+    } guard{*this};
 
-    Time makespan = 0;
-    for (auto &tp : threads_) {
-        if (!tp->daemon && tp->cpu.now() > makespan)
-            makespan = tp->cpu.now();
-    }
-    return makespan;
-}
-
-void
-Engine::runSequentialLoop()
-{
-    ShardState &sh = *shards_[0];
     for (;;) {
         ThreadState *best = nullptr;
         unsigned pendingWorkers = 0;
@@ -350,15 +119,6 @@ Engine::runSequentialLoop()
         }
         if (pendingWorkers == 0)
             break;
-        // Matured cross-domain wakes deliver before any quantum that
-        // starts at or after their effect time.
-        if (!sh.pending.empty()
-            && (best == nullptr
-                || sh.pending.front().at <= best->cpu.now())) {
-            applyWake(sh.pending.front());
-            sh.pending.erase(sh.pending.begin());
-            continue;
-        }
         if (best == nullptr) {
             // Only parked daemons remain but workers are "pending":
             // cannot happen - workers are never parked.
@@ -366,17 +126,9 @@ Engine::runSequentialLoop()
         }
         steps_++;
         safeHorizon_ = best->cpu.now();
-        const StepCtx saved = tlsStepCtx;
-        tlsStepCtx = StepCtx{this, /*shardIdx=*/0, best->domain,
-                             safeHorizon_, best->cpu.threadId()};
-        bool more;
-        try {
-            more = best->task->step(best->cpu);
-        } catch (...) {
-            tlsStepCtx = saved;
-            throw;
-        }
-        tlsStepCtx = saved;
+        stepping_ = best->cpu.threadId();
+        const bool more = best->task->step(best->cpu);
+        stepping_ = -1;
         if (checkHook_ != nullptr)
             checkHook_->onCheck(CheckEvent::Quantum, best->cpu.now());
         if (!more) {
@@ -386,286 +138,13 @@ Engine::runSequentialLoop()
                 best->done = true;
         }
     }
-}
 
-void
-Engine::runParallelLoop()
-{
-    const unsigned nShards = simThreads_;
-    for (;;) {
-        // ---- Epoch barrier (single host thread) ----
-        // Drain inboxes into the per-shard pending queues. Ascending
-        // shard index, and a full (at, srcShard, seq) sort per queue:
-        // the merged order is a pure function of the simulation, never
-        // of host completion order.
-        for (auto &shp : shards_) {
-            ShardState &sh = *shp;
-            {
-                std::lock_guard<std::mutex> lock(sh.inboxMu);
-                if (!sh.inbox.empty()) {
-                    sh.pending.insert(sh.pending.end(),
-                                      sh.inbox.begin(),
-                                      sh.inbox.end());
-                    sh.inbox.clear();
-                }
-            }
-            std::sort(sh.pending.begin(), sh.pending.end(), wakeLess);
-            assert(std::is_sorted(sh.pending.begin(), sh.pending.end(),
-                                  wakeLess));
-        }
-        // Retired shards (local workers all completed this run) never
-        // step again: leave them out of the frontier so a daemon that
-        // will never run cannot pin the horizon, and out of the active
-        // set so the pool never dispatches them.
-        Time globalMin = kNever;
-        unsigned pendingWorkers = 0;
-        for (auto &tp : threads_) {
-            auto &t = *tp;
-            if (!t.daemon && !t.done)
-                pendingWorkers++;
-            if (t.done || t.parked || shards_[t.shard]->retired())
-                continue;
-            globalMin = std::min(globalMin, t.cpu.now());
-        }
-        for (auto &shp : shards_) {
-            if (!shp->retired() && !shp->pending.empty())
-                globalMin = std::min(globalMin, shp->pending.front().at);
-        }
-        if (pendingWorkers == 0)
-            break;
-        if (globalMin == kNever)
-            throw std::logic_error("engine deadlock: no runnable thread");
-        const Time horizon = saturatingAdd(globalMin, lookahead_);
-
-        // A shard participates when it could step or deliver anything
-        // below the horizon.
-        unsigned activeWorkers = 0;
-        bool shard0Active = false;
-        for (unsigned s = 0; s < nShards; s++) {
-            ShardState &sh = *shards_[s];
-            bool active = !sh.retired() && !sh.pending.empty()
-                          && sh.pending.front().at < horizon;
-            if (!active && !sh.retired()) {
-                for (int id : sh.members) {
-                    auto &t = *threads_[id];
-                    if (!t.done && !t.parked && t.cpu.now() < horizon) {
-                        active = true;
-                        break;
-                    }
-                }
-            }
-            if (s == 0)
-                shard0Active = active;
-            else if (active)
-                activeWorkers++;
-            shardActive_[s] = active ? 1 : 0;
-        }
-
-        if (activeWorkers == 0) {
-            // Single-shard epoch (e.g. a System: one shared domain):
-            // run inline, no pool interaction at all.
-            if (shard0Active)
-                runShardEpoch(0, horizon);
-        } else {
-            ensurePool();
-            {
-                std::lock_guard<std::mutex> lock(poolMu_);
-                epochHorizon_ = horizon;
-                pendingShards_ = activeWorkers;
-                epochGen_++;
-            }
-            poolCv_.notify_all();
-            if (shard0Active)
-                runShardEpoch(0, horizon);
-            std::unique_lock<std::mutex> lock(poolMu_);
-            doneCv_.wait(lock, [&] { return pendingShards_ == 0; });
-        }
-
-        // ---- Post-epoch merge (single host thread) ----
-        // Step counters roll up in ascending shard index; the order is
-        // fixed by construction (and the sum commutes regardless).
-        for (auto &shp : shards_) {
-            steps_ += shp->stepsDelta.load(std::memory_order_relaxed);
-            shp->stepsDelta.store(0, std::memory_order_relaxed);
-        }
-        // Crash injection mid-epoch: every shard finishes its epoch,
-        // then the globally earliest failure -- ordered by (quantum
-        // start, shard index), both simulation-determined -- wins and
-        // is rethrown. Single-domain runs see the exact sequential
-        // behavior; for multi-domain runs other shards may have
-        // advanced past the failing quantum, but never beyond the
-        // epoch horizon.
-        ShardState *failed = nullptr;
-        for (auto &shp : shards_) {
-            if (shp->error == nullptr)
-                continue;
-            if (failed == nullptr || shp->errorAt < failed->errorAt)
-                failed = shp.get();
-        }
-        if (failed != nullptr) {
-            for (auto &shp : shards_) {
-                if (shp->steppedThisRun)
-                    safeHorizon_ =
-                        std::max(safeHorizon_, shp->safeHorizon);
-            }
-            std::rethrow_exception(failed->error);
-        }
+    Time makespan = 0;
+    for (auto &tp : threads_) {
+        if (!tp->daemon && tp->cpu.now() > makespan)
+            makespan = tp->cpu.now();
     }
-    // The sequential loop leaves safeHorizon_ at the last quantum
-    // start, which (quantum starts are non-decreasing) is the max
-    // start of the run; reproduce that as a max over shard horizons.
-    // No quantum stepped leaves it untouched, as in the sequential
-    // loop.
-    for (auto &shp : shards_) {
-        if (shp->steppedThisRun)
-            safeHorizon_ = std::max(safeHorizon_, shp->safeHorizon);
-    }
-}
-
-void
-Engine::runShardEpoch(unsigned shardIdx, Time horizon)
-{
-    ShardState &sh = *shards_[shardIdx];
-    const StepCtx saved = tlsStepCtx;
-    for (;;) {
-        ThreadState *best = nullptr;
-        for (int id : sh.members) {
-            auto &t = *threads_[id];
-            if (t.done || t.parked)
-                continue;
-            // Members ascend by thread id, so strict < reproduces the
-            // sequential lowest-id tie-break.
-            if (best == nullptr || t.cpu.now() < best->cpu.now())
-                best = &t;
-        }
-        const Time next = best != nullptr ? best->cpu.now() : kNever;
-        if (!sh.pending.empty() && sh.pending.front().at <= next
-            && sh.pending.front().at < horizon) {
-            applyWake(sh.pending.front());
-            sh.pending.erase(sh.pending.begin());
-            continue;
-        }
-        if (best == nullptr || next >= horizon)
-            break;
-        sh.safeHorizon = next;
-        sh.steppedThisRun = true;
-        sh.stepsDelta.fetch_add(1, std::memory_order_relaxed);
-        tlsStepCtx = StepCtx{this, shardIdx, best->domain, next,
-                             best->cpu.threadId()};
-        bool more = true;
-        try {
-            more = best->task->step(best->cpu);
-            tlsStepCtx = saved;
-            if (checkHook_ != nullptr)
-                checkHook_->onCheck(CheckEvent::Quantum,
-                                    best->cpu.now());
-        } catch (...) {
-            tlsStepCtx = saved;
-            sh.error = std::current_exception();
-            sh.errorAt = next;
-            return; // shard stops; the barrier picks the earliest error
-        }
-        if (!more) {
-            if (best->daemon) {
-                best->parked = true;
-            } else {
-                best->done = true;
-                // Worker-exhaustion cut (see ShardState::retired):
-                // with one shard this is the sequential loop's exit
-                // check, verbatim - nothing (not even a matured wake)
-                // runs after the last worker completes.
-                if (--sh.liveWorkers == 0)
-                    break;
-            }
-        }
-    }
-    tlsStepCtx = saved;
-}
-
-void
-Engine::drainLeftoverWakes()
-{
-    // Wakes still in flight when the last worker finishes: apply them
-    // so the daemon's clock/parked state matches the immediate-wake
-    // convention (the classic executor unparks even when the engine
-    // stops before stepping the daemon). Deterministic order, though
-    // application commutes.
-    for (auto &shp : shards_) {
-        ShardState &sh = *shp;
-        {
-            std::lock_guard<std::mutex> lock(sh.inboxMu);
-            if (!sh.inbox.empty()) {
-                sh.pending.insert(sh.pending.end(), sh.inbox.begin(),
-                                  sh.inbox.end());
-                sh.inbox.clear();
-            }
-        }
-        std::sort(sh.pending.begin(), sh.pending.end(), wakeLess);
-        for (const auto &w : sh.pending)
-            applyWake(w);
-        sh.pending.clear();
-    }
-}
-
-void
-Engine::ensurePool()
-{
-    if (!workers_.empty())
-        return;
-    shutdown_ = false;
-    for (unsigned s = 1; s < simThreads_; s++)
-        workers_.emplace_back([this, s] { workerLoop(s); });
-}
-
-void
-Engine::shutdownPool()
-{
-    if (workers_.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(poolMu_);
-        shutdown_ = true;
-    }
-    poolCv_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-    workers_.clear();
-    shutdown_ = false;
-}
-
-void
-Engine::workerLoop(unsigned shardIdx)
-{
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(poolMu_);
-    for (;;) {
-        poolCv_.wait(lock, [&] {
-            return shutdown_ || epochGen_ != seen;
-        });
-        if (shutdown_)
-            return;
-        seen = epochGen_;
-        const bool active = shardActive_[shardIdx] != 0;
-        const Time horizon = epochHorizon_;
-        if (!active)
-            continue;
-        lock.unlock();
-        runShardEpoch(shardIdx, horizon);
-        lock.lock();
-        if (--pendingShards_ == 0)
-            doneCv_.notify_one();
-    }
-}
-
-std::uint64_t
-Engine::steps() const
-{
-    // Counters not yet merged at a barrier (exact for any run with one
-    // active shard, which covers every oracle-observed System run).
-    std::uint64_t total = steps_;
-    for (const auto &shp : shards_)
-        total += shp->stepsDelta.load(std::memory_order_relaxed);
-    return total;
+    return makespan;
 }
 
 Time

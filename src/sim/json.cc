@@ -422,7 +422,7 @@ struct Parser
 Json
 Json::parse(const std::string &text, std::string *error)
 {
-    Parser p{text};
+    Parser p{text, 0, {}};
     Json v = p.parseValue(0);
     p.skipWs();
     if (!p.failed() && p.pos != text.size())

@@ -5,7 +5,7 @@
  *
  * Subsystems intern instruments once (at construction) and get back
  * cheap handles whose hot-path cost is one pointer-indirect add - no
- * string hashing per event, unlike the old string-keyed StatSet map.
+ * string hashing per event.
  * Three instrument kinds cover the paper's evaluation needs:
  *
  *  - Counter: monotonically increasing event count, optionally
@@ -23,12 +23,10 @@
  * and rolls everything into a single MetricsSnapshot that serializes
  * to JSON (and parses back - see tests/metrics_test.cc).
  *
- * Nothing here takes locks. Under the parallel engine (docs/
- * engine.md) a registry belongs to one System, and a System is one
- * isolation domain, i.e. one shard: all updates come from a single
- * host thread per epoch, and snapshots roll up between runs. The
- * roll-up order (ascending slot index, instruments by name) is
- * deterministic and asserted in peek().
+ * Nothing here takes locks: a registry belongs to one System, whose
+ * engine steps every quantum on one host thread. The roll-up order
+ * (ascending slot index, instruments by name) is deterministic and
+ * asserted in peek().
  */
 #pragma once
 
@@ -331,9 +329,8 @@ class MetricsRegistry
  * windows are skipped in O(1); windows beyond `maxWindows` are
  * counted in `truncated_windows` rather than silently dropped.
  *
- * Everything is virtual-time driven and single-shard (a System's
- * shared domain), so the series are bit-identical for any
- * DAXVM_SIM_THREADS and never advance simulated time.
+ * Everything is virtual-time driven, so the series are bit-identical
+ * run to run and never advance simulated time.
  */
 class MetricsTimeline
 {

@@ -182,14 +182,12 @@ SpanRecorder::SpanRecorder()
 void
 SpanRecorder::setCapacity(std::size_t perTrackEvents)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     capacity_ = perTrackEvents > 0 ? perTrackEvents : 1;
 }
 
 std::uint32_t
 SpanRecorder::attachProcess(MetricsRegistry *counters, const char *label)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     const std::uint32_t pid = nextPid_++;
     currentPid_ = pid;
     processLabels_[pid] =
@@ -203,7 +201,6 @@ SpanRecorder::attachProcess(MetricsRegistry *counters, const char *label)
 void
 SpanRecorder::detachProcess(MetricsRegistry *counters)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     if (counterSource_ == counters)
         counterSource_ = nullptr;
 }
@@ -261,8 +258,7 @@ SpanRecorder::maybeSampleCounters(std::uint32_t track, Time ts)
     }
     nextSampleAt_ = ts + samplePeriod_;
     const MetricsSnapshot snap = counterSource_->peek();
-    // push() directly: counterSample() takes mu_, which the public
-    // caller already holds. Same payload convention (name in detail).
+    // Same payload convention as counterSample() (name in detail).
     for (const auto &[name, value] : snap.counters)
         push(SpanPhase::Counter, TraceCat::Fault, track, -1, ts,
              "counter", value, name);
@@ -272,7 +268,6 @@ void
 SpanRecorder::begin(TraceCat cat, std::uint32_t track, int core, Time ts,
                     const char *name, std::string detail)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     maybeSampleCounters(track, ts);
     push(SpanPhase::Begin, cat, track, core, ts, name, 0, detail);
 }
@@ -282,7 +277,6 @@ SpanRecorder::end(TraceCat cat, std::uint32_t track, int core, Time ts,
                   const char *name)
 {
     static const std::string kNoDetail;
-    std::lock_guard<std::mutex> lock(mu_);
     push(SpanPhase::End, cat, track, core, ts, name, 0, kNoDetail);
 }
 
@@ -292,7 +286,6 @@ SpanRecorder::span(TraceCat cat, std::uint32_t track, int core,
                    std::string detail)
 {
     static const std::string kNoDetail;
-    std::lock_guard<std::mutex> lock(mu_);
     maybeSampleCounters(track, beginTs);
     push(SpanPhase::Begin, cat, track, core, beginTs, name, 0, detail);
     push(SpanPhase::End, cat, track, core, endTs, name, 0, kNoDetail);
@@ -302,7 +295,6 @@ void
 SpanRecorder::instant(TraceCat cat, std::uint32_t track, int core, Time ts,
                       const char *name, std::string detail)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     push(SpanPhase::Instant, cat, track, core, ts, name, 0, detail);
 }
 
@@ -312,7 +304,6 @@ SpanRecorder::counterSample(std::uint32_t track, Time ts,
 {
     // Metric names are interned strings owned by a registry that can be
     // destroyed before export, so they travel in `detail`, not `name`.
-    std::lock_guard<std::mutex> lock(mu_);
     push(SpanPhase::Counter, TraceCat::Fault, track, -1, ts, "counter",
          value, name);
 }
@@ -322,7 +313,6 @@ SpanRecorder::flowStart(TraceCat cat, std::uint32_t track, int core,
                         Time ts, const char *name)
 {
     static const std::string kNoDetail;
-    std::lock_guard<std::mutex> lock(mu_);
     Track &t = tracks_[(std::uint64_t(currentPid_) << 32) | track];
     const std::uint64_t id =
         (std::uint64_t(currentPid_ & 0xffff) << 48)
@@ -338,7 +328,6 @@ SpanRecorder::flowStep(TraceCat cat, std::uint32_t track, int core,
                        Time ts, const char *name, std::uint64_t id)
 {
     static const std::string kNoDetail;
-    std::lock_guard<std::mutex> lock(mu_);
     push(SpanPhase::FlowStep, cat, track, core, ts, name, id, kNoDetail);
 }
 
@@ -347,14 +336,12 @@ SpanRecorder::flowEnd(TraceCat cat, std::uint32_t track, int core,
                       Time ts, const char *name, std::uint64_t id)
 {
     static const std::string kNoDetail;
-    std::lock_guard<std::mutex> lock(mu_);
     push(SpanPhase::FlowEnd, cat, track, core, ts, name, id, kNoDetail);
 }
 
 SpanRecorder::CaptureMark
 SpanRecorder::captureMark(std::uint32_t track) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     const auto it =
         tracks_.find((std::uint64_t(currentPid_) << 32) | track);
     if (it == tracks_.end())
@@ -371,7 +358,6 @@ SpanRecorder::recordRequestExemplar(const std::string &group,
 {
     if (topK == 0)
         return;
-    std::lock_guard<std::mutex> lock(mu_);
     const std::uint64_t latency =
         doneNs > arrivalNs ? doneNs - arrivalNs : 0;
     auto &pool = exemplars_[{currentPid_, group}];
@@ -421,7 +407,6 @@ SpanRecorder::recordRequestExemplar(const std::string &group,
 std::vector<SpanExemplar>
 SpanRecorder::exemplars() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<SpanExemplar> out;
     for (const auto &[key, pool] : exemplars_)
         out.insert(out.end(), pool.begin(), pool.end());
@@ -431,7 +416,6 @@ SpanRecorder::exemplars() const
 void
 SpanRecorder::clear()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     tracks_.clear();
     exemplars_.clear();
     processLabels_.clear();
@@ -444,7 +428,6 @@ SpanRecorder::clear()
 std::uint64_t
 SpanRecorder::eventCount() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::uint64_t n = 0;
     for (const auto &[key, t] : tracks_)
         n += t.events.size();
@@ -452,19 +435,12 @@ SpanRecorder::eventCount() const
 }
 
 std::uint64_t
-SpanRecorder::droppedCountLocked() const
+SpanRecorder::droppedCount() const
 {
     std::uint64_t n = 0;
     for (const auto &[key, t] : tracks_)
         n += t.dropped;
     return n;
-}
-
-std::uint64_t
-SpanRecorder::droppedCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return droppedCountLocked();
 }
 
 std::vector<const SpanEvent *>
@@ -521,12 +497,11 @@ SpanRecorder::renderChrome(std::string &buf, std::FILE *file) const
     comma();
     buf += "{\"ph\":\"M\",\"pid\":0,\"name\":\"daxvm_dropped_events\","
            "\"args\":{\"value\":"
-        + std::to_string(droppedCountLocked()) + "}}";
+        + std::to_string(droppedCount()) + "}}";
 
     // Export order is the map's (pid, track) key order -- a pure
-    // function of the simulation, never of recording interleaving.
-    // Asserted so a future container swap can't silently break the
-    // byte-stability of traces (docs/engine.md).
+    // function of the simulation. Asserted so a future container swap
+    // can't silently break the byte-stability of traces.
     assert(std::is_sorted(tracks_.begin(), tracks_.end(),
                           [](const auto &a, const auto &b) {
                               return a.first < b.first;
@@ -646,7 +621,6 @@ SpanRecorder::renderFolded(std::string &buf, std::FILE *file) const
 void
 SpanRecorder::writeChromeTrace(std::FILE *out) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string buf;
     renderChrome(buf, out);
     if (!buf.empty())
@@ -656,7 +630,6 @@ SpanRecorder::writeChromeTrace(std::FILE *out) const
 std::string
 SpanRecorder::chromeTraceString() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string buf;
     renderChrome(buf, nullptr);
     return buf;
@@ -665,7 +638,6 @@ SpanRecorder::chromeTraceString() const
 void
 SpanRecorder::writeFoldedStacks(std::FILE *out) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string buf;
     renderFolded(buf, out);
     if (!buf.empty())
@@ -675,7 +647,6 @@ SpanRecorder::writeFoldedStacks(std::FILE *out) const
 std::string
 SpanRecorder::foldedStacksString() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::string buf;
     renderFolded(buf, nullptr);
     return buf;

@@ -21,20 +21,16 @@
  * branch per call site when off. Recording never advances virtual
  * time, so traced runs are bit-identical to untraced ones.
  *
- * Thread safety: the recorder is shared process-wide (Trace::get()),
- * and under the parallel engine (docs/engine.md) shards record from
- * several host threads at once. All mutation and export paths take
- * one internal mutex; the enabled() mask checks stay lock-free, so
- * tracing-off runs are untouched. Tracks map to engine thread ids,
- * which the shard assignment never splits across domains, so per-
- * track event order (and thus export order) stays deterministic.
+ * The recorder is shared process-wide (Trace::get()) and, like the
+ * engine that drives it, single-threaded. Tracks map to engine thread
+ * ids, so per-track event order (and thus export order) is a pure
+ * function of the simulation.
  */
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -164,9 +160,8 @@ class SpanRecorder
     /**
      * Start a causal flow (Chrome `s`) on @p track and return its id.
      * Ids are allocated from a per-track counter, so they are a pure
-     * function of the simulation: `(pid << 48) | (track << 24) | seq`.
-     * No global atomics — per-track push order is deterministic under
-     * the parallel engine, hence so are the ids (docs/tracing.md).
+     * function of the simulation: `(pid << 48) | (track << 24) | seq`
+     * (docs/tracing.md).
      * Flow timestamps are clamped up to the track's last recorded
      * event so arrows never make a track non-monotone.
      */
@@ -236,8 +231,6 @@ class SpanRecorder
     /** Next ring slot of (currentPid_, @p track), growing to capacity. */
     SpanEvent &nextSlot(std::uint32_t track);
     void maybeSampleCounters(std::uint32_t track, Time ts);
-    /** droppedCount() body; caller holds mu_. */
-    std::uint64_t droppedCountLocked() const;
     /** Events of @p t in recording order (unrolls the ring). */
     std::vector<const SpanEvent *> ordered(const Track &t) const;
     /**
@@ -251,10 +244,7 @@ class SpanRecorder
     void renderChrome(std::string &buf, std::FILE *file) const;
     void renderFolded(std::string &buf, std::FILE *file) const;
 
-    /** Category mask: set up single-threaded, read lock-free. */
     unsigned mask_ = 0;
-    /** Guards every member below (parallel-engine shard recording). */
-    mutable std::mutex mu_;
     std::size_t capacity_;
     Time samplePeriod_;
     Time nextSampleAt_ = 0;

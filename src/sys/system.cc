@@ -104,24 +104,10 @@ System::System(const SystemConfig &config)
             fastPaths = false;
     }
     config_.hostFastPaths = fastPaths;
-    // Parallel engine knob (docs/engine.md). A System is one shared
-    // isolation domain, so any thread count is bit-identical; the
-    // epoch machinery still runs when > 1 (exercised by
-    // check_sweep --threads and the TSan CI job).
-    unsigned simThreads = config.simThreads;
-    if (simThreads == 0) {
-        if (const char *env = std::getenv("DAXVM_SIM_THREADS"))
-            simThreads = static_cast<unsigned>(
-                std::max(0, std::atoi(env)));
-        if (simThreads == 0)
-            simThreads = 1;
-    }
-    config_.simThreads = simThreads;
-    sim::Time lookahead = config.simLookaheadNs;
-    if (lookahead == 0)
-        lookahead = config_.cm.crossShardLookahead();
-    config_.simLookaheadNs = lookahead;
-    engine_.setParallelism(simThreads, lookahead);
+    if (config.simThreads > 1)
+        throw std::invalid_argument(
+            "System: simThreads must be 0 or 1 (the engine is "
+            "sequential)");
     for (unsigned c = 0; c < config.cores; c++) {
         mmus_.push_back(std::make_unique<arch::Mmu>(config_.cm,
                                                     fastPaths));

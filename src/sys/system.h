@@ -92,19 +92,11 @@ struct SystemConfig
      */
     bool hostFastPaths = true;
     /**
-     * Host threads for the parallel engine (docs/engine.md). 0 =
-     * consult the DAXVM_SIM_THREADS environment variable, defaulting
-     * to 1 (the sequential reference executor). Simulated output is
-     * bit-identical for every value; >1 buys wall clock on workloads
-     * spanning multiple isolation domains. Purely host-side, so it is
-     * deliberately absent from bench result JSON.
+     * Host threads running the engine. Only 0 and 1 are accepted (the
+     * engine is sequential); System throws std::invalid_argument on
+     * anything else.
      */
     unsigned simThreads = 0;
-    /**
-     * Cross-shard lookahead in virtual ns for the parallel engine.
-     * 0 = derive from the cost model (CostModel::crossShardLookahead).
-     */
-    sim::Time simLookaheadNs = 0;
     sim::CostModel cm;
 };
 

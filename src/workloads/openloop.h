@@ -30,16 +30,15 @@
  * a session is flagged and charged TCP accept costs by the server.
  *
  * Execution is two-phase on one System/engine:
- *  1. Generation: one ArrivalGenTask per tenant, each in its own
- *     isolation domain (engine.h), materializes the tenant's merged
- *     arrival schedule. The tasks share no simulated state, so
- *     `--sim-threads N` runs them on N host shards in parallel.
- *  2. Service: OpenLoopServer tasks in the shared domain claim
- *     schedule entries in arrival order (deterministic FCFS under
- *     min-clock stepping), wait for the arrival when idle, and charge
- *     the tenant's real file-system/VM work. Latency histograms,
- *     queueing delay and SLO-violation counters land in the
- *     MetricsRegistry under "openloop.<tenant>.*".
+ *  1. Generation: one ArrivalGenTask per tenant materializes the
+ *     tenant's merged arrival schedule. The tasks share no simulated
+ *     state, so the schedule does not depend on how they interleave.
+ *  2. Service: OpenLoopServer tasks claim schedule entries in arrival
+ *     order (deterministic FCFS under min-clock stepping), wait for
+ *     the arrival when idle, and charge the tenant's real
+ *     file-system/VM work. Latency histograms, queueing delay and
+ *     SLO-violation counters land in the MetricsRegistry under
+ *     "openloop.<tenant>.*".
  */
 #pragma once
 
@@ -153,12 +152,11 @@ class ArrivalProcess
 
 /**
  * Engine task that materializes one tenant's arrival schedule, one
- * client stream per quantum, then merges. Place each tenant's task in
- * its own isolation domain: the tasks touch only their output vector,
- * so the parallel engine runs them concurrently and the schedule is
- * identical for every `--sim-threads` value. Virtual cost is a token
- * ~100 ns per quantum (schedule synthesis is control-plane work, not
- * simulated machine time).
+ * client stream per quantum, then merges. The task touches only its
+ * output vector, so the schedule is a pure function of the config and
+ * the random stream. Virtual cost is a token ~100 ns per quantum
+ * (schedule synthesis is control-plane work, not simulated machine
+ * time).
  */
 class ArrivalGenTask : public sim::Task
 {
@@ -207,9 +205,8 @@ struct OpenLoopStats
 };
 
 /**
- * Shared dispatch state of one tenant's server pool. All servers of a
- * tenant live in the shared domain; min-clock stepping serializes
- * their claims deterministically.
+ * Shared dispatch state of one tenant's server pool. Min-clock
+ * stepping serializes the servers' claims deterministically.
  */
 struct OpenLoopQueue
 {

@@ -44,7 +44,7 @@ struct TenantSpec
     std::string name = "tenant";
     TenantKind kind = TenantKind::Apache;
     ArrivalConfig arrival;
-    /** Server pool size (engine threads in the shared domain). */
+    /** Server pool size (engine threads). */
     unsigned servers = 4;
     /** Tail-latency SLO on arrival-to-completion latency. */
     sim::Time sloNs = 2000000;
@@ -80,18 +80,17 @@ class Tenant : public OpenLoopService
 
     /**
      * Phase-1 task generating the arrival schedule. Add it to the
-     * engine in its own isolation domain; run() it to completion
-     * before makeServers().
+     * engine and run() it to completion before makeServers().
      */
     std::unique_ptr<sim::Task> makeGenTask();
 
     /**
-     * Phase-1 warm-up task (shared domain): preloads the YCSB record
-     * space. Null for tenants without a warm-up phase.
+     * Phase-1 warm-up task: preloads the YCSB record space. Null for
+     * tenants without a warm-up phase.
      */
     std::unique_ptr<sim::Task> makePreloadTask();
 
-    /** Phase-2 server pool (shared domain). */
+    /** Phase-2 server pool. */
     std::vector<std::unique_ptr<sim::Task>> makeServers();
 
     /** Anchor the schedule's t=0 at virtual time @p base. */

@@ -544,8 +544,9 @@ TEST(AllocPolicy, SegregatedPoolAuditStaysCleanUnderChurn)
             held[i] = held.back();
             held.pop_back();
         }
-        if (op % 4000 == 0)
+        if (op % 4000 == 0) {
             ASSERT_TRUE(alloc.check().empty()) << "op " << op;
+        }
     }
     ASSERT_TRUE(alloc.check().empty());
     for (const auto &e : held)

@@ -346,7 +346,7 @@ TEST(Shootdown, InvalidatesRemoteTlbs)
         EXPECT_EQ(mmus[static_cast<unsigned>(c)]->tlb().lookup(0x1000, 1),
                   nullptr);
     }
-    EXPECT_EQ(hub.stats().get("tlb.ipis"), 1u);
+    EXPECT_EQ(hub.metricsRegistry().counterValue("tlb.ipis"), 1u);
 }
 
 TEST(Shootdown, InitiatorPaysPerRemoteCore)
@@ -395,8 +395,8 @@ TEST(Shootdown, ThresholdSwitchesToFullFlush)
         pages.push_back(i * 4096);
     auto cpu = cpuOn(0);
     hub.shootdownPages(cpu, 0x1, 1, pages);
-    EXPECT_EQ(hub.stats().get("tlb.full_flushes"), 1u);
-    EXPECT_EQ(hub.stats().get("tlb.invlpg"), 0u);
+    EXPECT_EQ(hub.metricsRegistry().counterValue("tlb.full_flushes"), 1u);
+    EXPECT_EQ(hub.metricsRegistry().counterValue("tlb.invlpg"), 0u);
 }
 
 TEST(MmuPerf, MonitorArithmetic)
@@ -450,8 +450,8 @@ TEST(Shootdown, CoarsenedListEscalatesViaTotalPages)
 
     auto cpu = cpuOn(0);
     hub.shootdownPages(cpu, 0x1, 1, {0x0}, /*totalPages=*/512);
-    EXPECT_EQ(hub.stats().get("tlb.full_flushes"), 1u);
-    EXPECT_EQ(hub.stats().get("tlb.invlpg"), 0u);
+    EXPECT_EQ(hub.metricsRegistry().counterValue("tlb.full_flushes"), 1u);
+    EXPECT_EQ(hub.metricsRegistry().counterValue("tlb.invlpg"), 0u);
     EXPECT_EQ(mmu.tlb().lookup(0x20000, 1), nullptr);
 }
 
@@ -463,6 +463,6 @@ TEST(Shootdown, SmallTotalStillUsesInvlpg)
     hub.registerMmu(0, &mmu);
     auto cpu = cpuOn(0);
     hub.shootdownPages(cpu, 0x1, 1, {0x1000, 0x2000}, /*totalPages=*/2);
-    EXPECT_EQ(hub.stats().get("tlb.full_flushes"), 0u);
-    EXPECT_EQ(hub.stats().get("tlb.invlpg"), 2u);
+    EXPECT_EQ(hub.metricsRegistry().counterValue("tlb.full_flushes"), 0u);
+    EXPECT_EQ(hub.metricsRegistry().counterValue("tlb.invlpg"), 2u);
 }

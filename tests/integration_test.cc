@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "workloads/apache.h"
 #include "workloads/filesweep.h"
 #include "workloads/kvstore.h"
@@ -141,6 +143,22 @@ TEST(Determinism, IdenticalRunsProduceIdenticalMakespans)
     EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(SystemConfig, SimThreadsAboveOneRejected)
+{
+    // The engine is sequential: 0 and 1 are the only accepted values.
+    sys::SystemConfig config;
+    config.cores = 2;
+    config.pmemBytes = 64ULL << 20;
+    config.pmemTableBytes = 32ULL << 20;
+    config.dramBytes = 32ULL << 20;
+    for (const unsigned threads : {0u, 1u}) {
+        config.simThreads = threads;
+        EXPECT_NO_THROW(sys::System system(config)) << threads;
+    }
+    config.simThreads = 2;
+    EXPECT_THROW(sys::System system(config), std::invalid_argument);
+}
+
 TEST(Fragmentation, AgedImageHurtsMmapNotDaxVm)
 {
     auto sweepTime = [](bool aged, Interface iface) {
@@ -263,9 +281,9 @@ TEST(Coherence, MsyncInOneProcessReprotectsAll)
     // Sync from A flushes both dirty pages and re-protects B too.
     a->msync(ca, vaA, 8 * 4096);
     EXPECT_EQ(system.vmm().dirtyPages(ino), 0u);
-    const auto wp = system.vmm().stats().get("vm.wp_faults");
+    const auto wp = system.metrics().counterValue("vm.wp_faults");
     b->memWrite(cb, vaB + 4096, 8, mem::Pattern::Rand);
-    EXPECT_EQ(system.vmm().stats().get("vm.wp_faults"), wp + 1);
+    EXPECT_EQ(system.metrics().counterValue("vm.wp_faults"), wp + 1);
 }
 
 TEST(HostFootprint, SparseDeviceReclaimsZeroedPages)
@@ -303,6 +321,6 @@ TEST(Coherence, PudAttachmentDirtyGranularity)
         cpu, *as, ino, 0, (1ULL << 30) + (8ULL << 20), true, 0);
     ASSERT_NE(va, 0u);
     as->memWrite(cpu, va, 4096, mem::Pattern::Rand);
-    EXPECT_EQ(system.vmm().stats().get("vm.daxvm_wp_faults"), 1u);
+    EXPECT_EQ(system.metrics().counterValue("vm.daxvm_wp_faults"), 1u);
     EXPECT_EQ(system.vmm().dirtyPages(ino), (1ULL << 30) / 4096);
 }

@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the unified telemetry layer (sim/metrics.h): bucket
  * boundaries and percentiles of the log2 histogram, per-core shard
- * merging, collector-published gauges, snapshot/JSON round-trip, and
- * the legacy StatSet facade's name compatibility.
+ * merging, collector-published gauges, and snapshot/JSON round-trip.
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include "sim/json.h"
 #include "sim/metrics.h"
-#include "sim/stats.h"
 #include "sys/system.h"
 
 using namespace dax;
@@ -39,8 +37,9 @@ TEST(HistogramTest, BucketBoundaries)
     for (const std::uint64_t v : {1ULL, 7ULL, 4096ULL, 123456789ULL}) {
         const unsigned b = HistogramData::bucketOf(v);
         EXPECT_LE(v, HistogramData::bucketUpperBound(b));
-        if (b > 1)
+        if (b > 1) {
             EXPECT_GT(v, HistogramData::bucketUpperBound(b - 1));
+        }
     }
 }
 
@@ -300,36 +299,8 @@ TEST(MetricsSnapshotTest, ToStringIsSortedAndComplete)
     EXPECT_LT(posA, posB);
 }
 
-// Legacy facade: string-keyed StatSet calls resolve against the same
-// registry storage the typed instruments use.
-TEST(StatSetFacadeTest, SharesRegistryStorage)
-{
-    MetricsRegistry registry(2);
-    sim::StatSet stats(registry);
-    stats.inc("vm.faults");
-    stats.inc("vm.faults", 4);
-    EXPECT_EQ(stats.get("vm.faults"), 5u);
-    // Typed handle on the same name sees the same storage.
-    auto c = registry.counter("vm.faults");
-    c.addAt(1, 10);
-    EXPECT_EQ(stats.get("vm.faults"), 15u);
-    EXPECT_EQ(registry.counterValue("vm.faults"), 15u);
-    // all() exposes every counter for iteration-style consumers.
-    const auto all = stats.all();
-    ASSERT_EQ(all.count("vm.faults"), 1u);
-    EXPECT_EQ(all.at("vm.faults"), 15u);
-}
-
-TEST(StatSetFacadeTest, StandaloneStatSetStillWorks)
-{
-    sim::StatSet stats; // owns its registry, as tests construct it
-    stats.inc("x");
-    EXPECT_EQ(stats.get("x"), 1u);
-    EXPECT_EQ(stats.get("missing"), 0u);
-}
-
 // End-to-end: a full System publishes the documented namespaces in one
-// rolled-up snapshot, and the legacy dotted names stay reachable.
+// rolled-up snapshot, and the dotted names stay reachable by name.
 TEST(SystemMetricsTest, SnapshotCoversSubsystems)
 {
     sys::SystemConfig config;
@@ -357,8 +328,8 @@ TEST(SystemMetricsTest, SnapshotCoversSubsystems)
     const auto it = snap.histograms.find("vm.fault_ns");
     ASSERT_NE(it, snap.histograms.end());
     EXPECT_GE(it->second.count, 1u);
-    // Legacy name-based access agrees with the snapshot.
-    EXPECT_EQ(system.vmm().stats().get("vm.faults"),
+    // Name-based access agrees with the snapshot.
+    EXPECT_EQ(system.metrics().counterValue("vm.faults"),
               snap.counter("vm.faults"));
 }
 

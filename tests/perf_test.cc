@@ -33,8 +33,7 @@ using namespace dax::arch;
 namespace {
 
 sys::SystemConfig
-smallConfig(bool fastPaths = true, unsigned simThreads = 0,
-            int checkLevel = 0)
+smallConfig(bool fastPaths = true)
 {
     sys::SystemConfig config;
     config.cores = 4;
@@ -42,8 +41,6 @@ smallConfig(bool fastPaths = true, unsigned simThreads = 0,
     config.pmemTableBytes = 64ULL << 20;
     config.dramBytes = 256ULL << 20;
     config.hostFastPaths = fastPaths;
-    config.simThreads = simThreads;
-    config.checkLevel = checkLevel;
     return config;
 }
 
@@ -86,9 +83,9 @@ runTasks(sys::System &system,
  * snapshot - serialized to one string for byte comparison.
  */
 std::string
-goldenRun(bool fastPaths, unsigned simThreads = 0, int checkLevel = 0)
+goldenRun(bool fastPaths)
 {
-    sys::System system(smallConfig(fastPaths, simThreads, checkLevel));
+    sys::System system(smallConfig(fastPaths));
     std::string out;
 
     // fig1a shape: sweep a small file set through two interfaces.
@@ -150,35 +147,6 @@ TEST(GoldenEquivalence, FastPathsAreObservationallyPure)
     const std::string slow = goldenRun(false);
     EXPECT_EQ(fast, slow)
         << "host fast paths changed simulated output";
-}
-
-// ---------------------------------------------------------------------
-// Golden equivalence: the sharded parallel engine (docs/engine.md)
-// must be bit-identical to the sequential reference for any thread
-// count. A System is one isolation domain, so this holds regardless
-// of how many host threads back the engine.
-// ---------------------------------------------------------------------
-
-TEST(GoldenEquivalence, ParallelEngineIsObservationallyPure)
-{
-    unsetenv("DAXVM_SIM_THREADS");
-    const std::string sequential = goldenRun(true, 1);
-    for (const unsigned simThreads : {2u, 4u, 8u}) {
-        EXPECT_EQ(sequential, goldenRun(true, simThreads))
-            << "simThreads=" << simThreads
-            << " changed simulated output";
-    }
-}
-
-TEST(GoldenEquivalence, ParallelEngineCleanUnderOracle)
-{
-    // The invariant oracle throws on the first violation, so a normal
-    // return is the assertion; both runs keep the oracle on so any
-    // bookkeeping it adds cancels out of the byte comparison.
-    unsetenv("DAXVM_SIM_THREADS");
-    const std::string sequential = goldenRun(true, 1, /*checkLevel=*/1);
-    EXPECT_EQ(sequential, goldenRun(true, 4, /*checkLevel=*/1))
-        << "oracle-swept parallel run changed simulated output";
 }
 
 // ---------------------------------------------------------------------

@@ -261,7 +261,7 @@ TEST_P(DaxVmSizeSweep, NoFaultsAndBoundedAttachCost)
     const sim::Time mapCost = cpu.now() - before;
 
     as->memRead(cpu, va, bytes, mem::Pattern::Seq);
-    EXPECT_EQ(system.vmm().stats().get("vm.faults"), 0u)
+    EXPECT_EQ(system.metrics().counterValue("vm.faults"), 0u)
         << "daxvm mappings must never fault on reads";
 
     // Attachment cost is per 2 MB granule (or better), never per page.

@@ -3,7 +3,7 @@
  * Tail-latency forensics tests (tools/tail_analysis.h, docs/tracing.md):
  * critical-path extraction on a synthetic trace with a hand-computed
  * answer, exact decomposition (residual zero) on a real traced
- * open-loop mix, byte-identical flow ids sequential vs sharded, the
+ * open-loop mix, byte-identical flow ids across two runs, the
  * exemplar reservoir surviving ring overflow, and windowed timeline
  * snapshots whose per-window deltas sum to the totals.
  */
@@ -81,14 +81,13 @@ analyzeText(const std::string &text)
 }
 
 sys::SystemConfig
-testConfig(unsigned simThreads)
+testConfig()
 {
     sys::SystemConfig config;
     config.cores = 4;
     config.pmemBytes = 1ULL << 30;
     config.pmemTableBytes = 64ULL << 20;
     config.dramBytes = 512ULL << 20;
-    config.simThreads = simThreads;
     return config;
 }
 
@@ -98,13 +97,13 @@ testConfig(unsigned simThreads)
  * run's events and exemplars; @return the Chrome trace export.
  */
 std::string
-runTracedMix(unsigned simThreads, std::size_t capacity = 1 << 16)
+runTracedMix(std::size_t capacity = 1 << 16)
 {
     sim::Trace::get().reset();
     sim::Trace::get().spans().enableAll();
     sim::Trace::get().spans().setCapacity(capacity);
 
-    sys::System system(testConfig(simThreads));
+    sys::System system(testConfig());
 
     std::vector<TenantSpec> specs(3);
     TenantSpec &apache = specs[0];
@@ -161,8 +160,7 @@ runTracedMix(unsigned simThreads, std::size_t capacity = 1 << 16)
 
     for (std::size_t t = 0; t < tenants.size(); t++) {
         system.engine().addThread(tenants[t]->makeGenTask(),
-                                  static_cast<int>(t), 0,
-                                  /*domain=*/1 + static_cast<int>(t));
+                                  static_cast<int>(t));
         if (auto preload = tenants[t]->makePreloadTask())
             system.engine().addThread(std::move(preload),
                                       static_cast<int>(t));
@@ -281,7 +279,7 @@ TEST_F(TailTest, AggregateAttributionRefusedOnDroppedEvents)
 
 TEST_F(TailTest, RealRunDecompositionSumsMatchLatencyExactly)
 {
-    const std::string text = runTracedMix(/*simThreads=*/1);
+    const std::string text = runTracedMix();
     const tools::TailReportData data = analyzeText(text);
 
     EXPECT_TRUE(data.problems.empty())
@@ -307,16 +305,16 @@ TEST_F(TailTest, RealRunDecompositionSumsMatchLatencyExactly)
     EXPECT_EQ(tools::validateTailReport(data), "");
 }
 
-TEST_F(TailTest, FlowIdsBitIdenticalSequentialVsSharded)
+TEST_F(TailTest, FlowIdsBitIdenticalAcrossRuns)
 {
-    const std::string seq = runTracedMix(/*simThreads=*/1);
-    const std::string par = runTracedMix(/*simThreads=*/4);
+    const std::string first = runTracedMix();
+    const std::string second = runTracedMix();
 
     // Flow ids come from per-track counters, so the whole export -
-    // causal arrows included - is byte-identical under sharding.
-    EXPECT_EQ(seq, par);
+    // causal arrows included - is byte-identical run to run.
+    EXPECT_EQ(first, second);
 
-    const tools::TailReportData data = analyzeText(seq);
+    const tools::TailReportData data = analyzeText(first);
     EXPECT_GT(data.flowSteps, 0u); // open-loop claim chains
     EXPECT_GT(data.flowStarts, 0u);
 }
@@ -326,7 +324,7 @@ TEST_F(TailTest, ExemplarReservoirSurvivesRingOverflow)
     // A 96-event ring cannot hold even one tenant's request stream,
     // so the ring laps; the reservoir must still hold deterministic,
     // latency-ordered top-K span trees per tenant.
-    runTracedMix(/*simThreads=*/1, /*capacity=*/96);
+    runTracedMix(/*capacity=*/96);
     const sim::SpanRecorder &rec = sim::Trace::get().spans();
     EXPECT_GT(rec.droppedCount(), 0u);
 
@@ -350,7 +348,7 @@ TEST_F(TailTest, ExemplarReservoirSurvivesRingOverflow)
     }
 
     // Identical rerun -> identical reservoir, overflow and all.
-    runTracedMix(/*simThreads=*/1, /*capacity=*/96);
+    runTracedMix(/*capacity=*/96);
     const std::vector<sim::SpanExemplar> second =
         sim::Trace::get().spans().exemplars();
     ASSERT_EQ(first.size(), second.size());

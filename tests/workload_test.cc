@@ -131,8 +131,8 @@ TEST(Repetitive, SyscallVariantUsesNoMappings)
     sim::Cpu cpu(nullptr, 0, 0);
     while (rep.step(cpu)) {
     }
-    EXPECT_EQ(system.vmm().stats().get("vm.mmap"), 0u);
-    EXPECT_GT(system.fs().stats().get("fs.fsyncs"), 0u);
+    EXPECT_EQ(system.metrics().counterValue("vm.mmap"), 0u);
+    EXPECT_GT(system.metrics().counterValue("fs.fsyncs"), 0u);
 }
 
 TEST(Append, AllInterfacesProduceFiles)
@@ -171,7 +171,7 @@ TEST(Append, PrezeroRecyclingSkipsSynchronousZeroing)
     while (append.step(cpu)) {
         system.prezeroDaemon()->drainUntimed();
     }
-    EXPECT_GT(system.fs().stats().get("fs.prezeroed_blocks"), 0u);
+    EXPECT_GT(system.metrics().counterValue("fs.prezeroed_blocks"), 0u);
 }
 
 TEST(Apache, ServesRequestsOnAllInterfaces)
@@ -213,7 +213,7 @@ TEST(Apache, LatrVariantDrainsLazily)
     while (worker.step(cpu)) {
     }
     EXPECT_EQ(worker.requestsDone(), 50u);
-    EXPECT_EQ(system.hub().stats().get("tlb.ipis"), 0u);
+    EXPECT_EQ(system.metrics().counterValue("tlb.ipis"), 0u);
 }
 
 TEST(TextSearch, CorpusHasExpectedShape)
@@ -513,8 +513,7 @@ runSmallOpenLoopMix()
 
     for (std::size_t t = 0; t < tenants.size(); t++) {
         system.engine().addThread(tenants[t]->makeGenTask(),
-                                  static_cast<int>(t), 0,
-                                  /*domain=*/1 + static_cast<int>(t));
+                                  static_cast<int>(t));
         if (auto preload = tenants[t]->makePreloadTask())
             system.engine().addThread(std::move(preload),
                                       static_cast<int>(t));

@@ -35,7 +35,6 @@ struct Options
     std::string workload = "sweep";
     std::string interface = "daxvm";
     unsigned threads = 4;
-    unsigned simThreads = 0; // 0: DAXVM_SIM_THREADS, then 1
     std::uint64_t fileBytes = 32 * 1024;
     std::uint64_t files = 2048;
     std::uint64_t ops = 20000;
@@ -57,10 +56,6 @@ usage(const char *argv0)
         "  --workload sweep|apache|repetitive|search|ycsb\n"
         "  --interface read|mmap|populate|daxvm|daxvm-sync\n"
         "  --threads N          simulated cores/workers (default 4)\n"
-        "  --sim-threads N      host threads for the sharded engine;\n"
-        "                       output is bit-identical for any N\n"
-        "                       (docs/engine.md; default "
-        "DAXVM_SIM_THREADS or 1)\n"
         "  --file-bytes N       per-file size for sweep/apache\n"
         "  --files N            file count for sweep\n"
         "  --ops N              operations for repetitive/ycsb\n"
@@ -109,7 +104,7 @@ void
 printStats(sys::System &system)
 {
     // One rolled-up snapshot covers every subsystem (TLB, fs, vm,
-    // daxvm, devices) instead of stitching per-module StatSets.
+    // daxvm, devices).
     std::printf("-- stats --\n%s",
                 system.snapshotMetrics().toString().c_str());
 }
@@ -271,8 +266,6 @@ main(int argc, char **argv)
             opt.interface = value();
         else if (arg == "--threads")
             opt.threads = static_cast<unsigned>(std::stoul(value()));
-        else if (arg == "--sim-threads")
-            opt.simThreads = static_cast<unsigned>(std::stoul(value()));
         else if (arg == "--file-bytes")
             opt.fileBytes = std::stoull(value());
         else if (arg == "--files")
@@ -324,7 +317,6 @@ main(int argc, char **argv)
 
     sys::SystemConfig config;
     config.cores = std::max(opt.threads, 1u);
-    config.simThreads = opt.simThreads;
     config.pmemBytes = opt.pmemGb << 30;
     config.pmemTableBytes =
         std::max<std::uint64_t>(config.pmemBytes / 16, 128ULL << 20);
