@@ -9,13 +9,13 @@
  * directly.
  *
  * Besides the human-readable stdout (whose format is frozen - runs
- * are bit-reproducible and diffed against golden output), each bench
- * accumulates a BenchResult: every figure row, every note, the
- * SystemConfig of the measured systems, the workload seed, and the
- * merged telemetry snapshot of every recorded System. `--json PATH`
- * serializes it (schema: docs/metrics.md); scripts/run_all.sh
- * aggregates the per-bench files and scripts/bench_diff.py compares
- * two aggregates for regressions.
+ * are bit-reproducible, and a change that must not move the model is
+ * byte-compared against a run of its parent), each bench accumulates
+ * a BenchResult: every figure row, every note, the SystemConfig of the
+ * measured systems, the workload seed, and the merged telemetry
+ * snapshot of every recorded System. `--json PATH` serializes it
+ * (schema: docs/metrics.md); scripts/run_all.sh aggregates the
+ * per-bench files and scripts/bench_diff.py validates them.
  *
  * Bench main() protocol:
  *   int main(int argc, char **argv) {
@@ -144,16 +144,16 @@ struct BenchResult
     std::string foldedPath;
     /**
      * Host wall-clock figures (e.g. micro_ops google-benchmark rows).
-     * Serialized under a separate "host" section that check_sweep and
-     * bench_diff.py ignore: everything under "figures" stays
-     * deterministic virtual-time data.
+     * Serialized under a separate "host" section that check_sweep
+     * ignores: everything under "figures" stays deterministic
+     * virtual-time data.
      */
     std::vector<FigureData> hostFigures;
     /**
      * One windowed-telemetry run per recorded System that had
      * enableTimeline() on (schema: daxvm-bench-timeline-v1,
      * docs/metrics.md). Deterministic virtual-time data, validated by
-     * bench_diff.py but never gated.
+     * bench_diff.py.
      */
     std::vector<sim::Json> timelineRuns;
 
@@ -230,12 +230,35 @@ result()
 }
 
 /**
+ * Print the shared bench usage text to stderr, followed by
+ * @p extraOptions (a bench's own option lines, already formatted).
+ */
+inline void
+usage(const char *argv0, const char *extraOptions = "")
+{
+    std::fprintf(stderr,
+                 "usage: %s [--json PATH] [--trace PATH] "
+                 "[--trace-folded PATH]\n"
+                 "  --json PATH          also write the BenchResult as "
+                 "JSON (schema: docs/metrics.md)\n"
+                 "  --trace PATH         write a Chrome trace_event span "
+                 "trace (docs/tracing.md)\n"
+                 "  --trace-folded PATH  write folded stacks "
+                 "(flamegraph input)\n"
+                 "%s",
+                 argv0, extraOptions);
+}
+
+/**
  * Parse the shared bench command line (`--json PATH`, `--trace PATH`,
  * `--trace-folded PATH`) and name the result. Call first in every
  * bench main(): span recording starts here, before any System exists.
+ * A bench that pre-filters its own options passes their usage lines
+ * as @p extraOptions.
  */
 inline void
-init(int argc, char **argv, const std::string &name)
+init(int argc, char **argv, const std::string &name,
+     const char *extraOptions = "")
 {
     result().name = name;
     for (int i = 1; i < argc; i++) {
@@ -247,17 +270,7 @@ init(int argc, char **argv, const std::string &name)
         } else if (arg == "--trace-folded" && i + 1 < argc) {
             result().foldedPath = argv[++i];
         } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--json PATH] [--trace PATH] "
-                "[--trace-folded PATH]\n"
-                "  --json PATH          also write the BenchResult as "
-                "JSON (schema: docs/metrics.md)\n"
-                "  --trace PATH         write a Chrome trace_event span "
-                "trace (docs/tracing.md)\n"
-                "  --trace-folded PATH  write folded stacks "
-                "(flamegraph input)\n",
-                argv[0]);
+            usage(argv[0], extraOptions);
             std::exit(arg == "--help" ? 0 : 2);
         }
     }

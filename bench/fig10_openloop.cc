@@ -30,6 +30,7 @@
 #include <cstring>
 
 #include "bench/common.h"
+#include "sim/cli.h"
 #include "workloads/tenant.h"
 
 using namespace dax;
@@ -125,19 +126,35 @@ main(int argc, char **argv)
 {
     // Pre-filter the bench-specific knob; everything else goes to the
     // shared harness parser (which rejects unknown arguments).
+    const char *requestsUsage =
+        "  --requests N         total requests over all load points "
+        "(default 1050000;\n"
+        "                       DAXVM_OPENLOOP_REQUESTS is the "
+        "fallback)\n";
+    auto badValue = [&](const char *value, const char *what) {
+        std::fprintf(stderr, "fig10_openloop: bad value '%s' for %s\n",
+                     value, what);
+        usage(argv[0], requestsUsage);
+        return 2;
+    };
     std::uint64_t totalRequests = 0;
     std::vector<char *> pass;
     pass.push_back(argv[0]);
     for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc)
-            totalRequests = std::strtoull(argv[++i], nullptr, 10);
-        else
+        if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
+            if (!sim::parseNumber(argv[++i], totalRequests))
+                return badValue(argv[i], "--requests");
+        } else {
             pass.push_back(argv[i]);
+        }
     }
-    init(static_cast<int>(pass.size()), pass.data(), "fig10_openloop");
+    init(static_cast<int>(pass.size()), pass.data(), "fig10_openloop",
+         requestsUsage);
     if (totalRequests == 0) {
-        if (const char *env = std::getenv("DAXVM_OPENLOOP_REQUESTS"))
-            totalRequests = std::strtoull(env, nullptr, 10);
+        if (const char *env = std::getenv("DAXVM_OPENLOOP_REQUESTS")) {
+            if (!sim::parseNumber(env, totalRequests))
+                return badValue(env, "DAXVM_OPENLOOP_REQUESTS");
+        }
     }
     if (totalRequests == 0)
         totalRequests = 1050000;

@@ -3,14 +3,13 @@
  * google-benchmark suite measuring the real (host wall-clock) cost of
  * the simulator's hot primitives: engine steps, TLB lookups, page
  * walks, file-table attach/detach, fault handling, extent allocation.
- * This guards the simulator's own performance, not simulated time.
+ * The rows are informational absolute timings; the performance gate is
+ * benchmark/compare.py against BENCHMARK.json (docs/performance.md).
  */
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <array>
 #include <cstring>
-#include <unordered_map>
 
 #include "bench/common.h"
 #include "daxvm/api.h"
@@ -87,33 +86,6 @@ BM_MmuTranslate(benchmark::State &state)
 }
 BENCHMARK(BM_MmuTranslate);
 
-/**
- * Same access loop with the host walk cache disabled: every TLB miss
- * takes the full radix walk. The BM_MmuTranslate/BM_MmuTranslateNoCache
- * ratio is the "walk_loop" speedup gated by scripts/bench_diff.py perf.
- */
-void
-BM_MmuTranslateNoCache(benchmark::State &state)
-{
-    sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, 64ULL << 20, cm,
-                     mem::Backing::Sparse);
-    mem::FrameAllocator frames(dram, 0, 64ULL << 20);
-    arch::PageTable pt(frames);
-    for (std::uint64_t i = 0; i < 4096; i++)
-        pt.map(i * 4096, i * 4096, arch::kPteLevel, arch::pte::kWrite);
-    arch::Mmu mmu(cm, /*hostFastPaths=*/false);
-    arch::MmuPerf perf;
-    sim::Cpu cpu(nullptr, 0, 0);
-    std::uint64_t va = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            mmu.translate(cpu, pt, va, false, 1, perf));
-        va = (va + 4096) % (4096 * 4096);
-    }
-}
-BENCHMARK(BM_MmuTranslateNoCache);
-
 /** Dirty lines scattered per iteration before each flushRange. */
 constexpr std::uint64_t kFlushLines = 256;
 
@@ -141,97 +113,6 @@ BM_DeviceFlushLoop(benchmark::State &state)
 }
 BENCHMARK(BM_DeviceFlushLoop);
 
-/**
- * Reference overlay shaped like the pre-optimization Device: node-
- * based unordered_maps for the dirty-line overlay AND the sparse page
- * store, a per-call line list, and byte-at-a-time write-back where
- * every dirty byte probes the page table separately. Kept here (not
- * in src/) purely as the "flush_loop" speedup baseline.
- */
-struct RefOverlay
-{
-    struct Line
-    {
-        std::array<std::uint8_t, mem::kCacheLine> data;
-        std::uint64_t mask = 0;
-    };
-
-    void
-    storeCached(std::uint64_t addr, const void *src, std::uint64_t n)
-    {
-        const auto *p = static_cast<const std::uint8_t *>(src);
-        while (n > 0) {
-            const std::uint64_t line = addr / mem::kCacheLine;
-            const std::uint64_t off = addr % mem::kCacheLine;
-            const std::uint64_t chunk =
-                n < mem::kCacheLine - off ? n : mem::kCacheLine - off;
-            Line &dl = dirty[line];
-            std::memcpy(dl.data.data() + off, p, chunk);
-            for (std::uint64_t i = 0; i < chunk; i++)
-                dl.mask |= 1ULL << (off + i);
-            addr += chunk;
-            p += chunk;
-            n -= chunk;
-        }
-    }
-
-    std::uint8_t *
-    pageForWrite(std::uint64_t addr)
-    {
-        auto &slot = pages[addr / mem::kPageSize];
-        if (!slot) {
-            slot = std::make_unique<std::uint8_t[]>(mem::kPageSize);
-            std::memset(slot.get(), 0, mem::kPageSize);
-        }
-        return slot.get();
-    }
-
-    std::uint64_t
-    flushRange(std::uint64_t addr, std::uint64_t n)
-    {
-        const std::uint64_t first = addr / mem::kCacheLine;
-        const std::uint64_t last = (addr + n - 1) / mem::kCacheLine;
-        std::vector<std::uint64_t> lines;
-        for (std::uint64_t l = first; l <= last; l++)
-            if (dirty.find(l) != dirty.end())
-                lines.push_back(l);
-        for (const std::uint64_t l : lines) {
-            const Line &dl = dirty[l];
-            for (unsigned i = 0; i < mem::kCacheLine; i++) {
-                if ((dl.mask & (1ULL << i)) == 0)
-                    continue;
-                const std::uint64_t a = l * mem::kCacheLine + i;
-                pageForWrite(a)[a % mem::kPageSize] = dl.data[i];
-            }
-            dirty.erase(l);
-        }
-        return lines.size();
-    }
-
-    std::unordered_map<std::uint64_t, Line> dirty;
-    std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>
-        pages;
-};
-
-/** Same loop as BM_DeviceFlushLoop against the reference overlay. */
-void
-BM_DeviceFlushLoopRef(benchmark::State &state)
-{
-    RefOverlay ref;
-    std::array<std::uint8_t, mem::kCacheLine> payload;
-    payload.fill(0xa5);
-    for (auto _ : state) {
-        for (std::uint64_t l = 0; l < kFlushLines; l++)
-            ref.storeCached(l * mem::kCacheLine, payload.data(),
-                            payload.size());
-        benchmark::DoNotOptimize(
-            ref.flushRange(0, kFlushLines * mem::kCacheLine));
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * kFlushLines);
-}
-BENCHMARK(BM_DeviceFlushLoopRef);
-
 /** Aged-allocator image: 512 MB of 4 KB blocks, heavily fragmented. */
 constexpr std::uint64_t kAgedBlocks = 1ULL << 17;
 
@@ -240,10 +121,8 @@ constexpr std::uint64_t kAgedBlocks = 1ULL << 17;
  * the *same* logical op sequence: fill to ~85% with small variable
  * allocations, churn free/alloc pairs until free space is shredded
  * into thousands of extents, then measure one free + one goal-directed
- * alloc per iteration. The first-fit policy pays an O(free-extents)
- * scan per alloc here; the segregated policy stays O(1). Both are
- * informational absolute timings: first-fit is a production policy,
- * not a reference, so their ratio is not gated.
+ * alloc per iteration. The first-fit policy walks its free map per
+ * alloc here; the segregated policy stays O(1).
  */
 void
 runBlockAllocAged(benchmark::State &state, fs::AllocPolicy policy)
@@ -289,120 +168,27 @@ runBlockAllocAged(benchmark::State &state, fs::AllocPolicy policy)
 }
 
 void
-BM_BlockAllocAged(benchmark::State &state)
+BM_BlockAllocAgedSegregated(benchmark::State &state)
 {
     runBlockAllocAged(state, fs::AllocPolicy::Segregated);
 }
-BENCHMARK(BM_BlockAllocAged);
+BENCHMARK(BM_BlockAllocAgedSegregated);
 
 void
-BM_BlockAllocAgedRef(benchmark::State &state)
+BM_BlockAllocAgedFirstFit(benchmark::State &state)
 {
     runBlockAllocAged(state, fs::AllocPolicy::FirstFit);
 }
-BENCHMARK(BM_BlockAllocAgedRef);
+BENCHMARK(BM_BlockAllocAgedFirstFit);
 
 /** Frame-churn region: 1 GB (262144 frames, 512 chunks of 2 MB). */
 constexpr std::uint64_t kFrameRegion = 1ULL << 30;
 
 /**
- * Reference frame allocator implementing the *same* chunk-preserving
- * policy as mem::FramePolicy::Buddy (lowest partial 2 MB chunk first,
- * then lowest fully-free chunk, lowest frame within the chunk) the
- * naive way: a byte-per-frame allocated array and linear scans over
- * chunks and frames instead of the word-scanned bitmaps. Placement is
- * bit-identical to Buddy; only the lookup machinery differs. Kept
- * here (not in src/) purely as the "frame_churn" speedup baseline.
+ * Metadata frame churn at 50% occupancy under the Buddy policy (two
+ * word-scans over chunk bitmaps): free a random held frame, allocate
+ * a replacement, which zeroes it through the Device.
  */
-struct RefFrameAlloc
-{
-    static constexpr std::uint64_t kChunk =
-        mem::kHugePageSize / mem::kPageSize;
-
-    RefFrameAlloc(mem::Device &dev, std::uint64_t size)
-        : dev_(dev), totalFrames_(size / mem::kPageSize),
-          allocated_(totalFrames_, 0),
-          used_((totalFrames_ + kChunk - 1) / kChunk, 0)
-    {
-    }
-
-    std::uint64_t
-    chunkSize(std::uint64_t c) const
-    {
-        return std::min(kChunk, totalFrames_ - c * kChunk);
-    }
-
-    mem::Paddr
-    alloc()
-    {
-        std::uint64_t chunk = used_.size();
-        for (std::uint64_t c = 0; c < used_.size(); c++) {
-            if (used_[c] > 0 && used_[c] < chunkSize(c)) {
-                chunk = c;
-                break;
-            }
-        }
-        if (chunk == used_.size()) {
-            for (std::uint64_t c = 0; c < used_.size(); c++) {
-                if (used_[c] == 0) {
-                    chunk = c;
-                    break;
-                }
-            }
-        }
-        if (chunk == used_.size())
-            throw std::bad_alloc();
-        for (std::uint64_t f = chunk * kChunk;
-             f < chunk * kChunk + chunkSize(chunk); f++) {
-            if (allocated_[f] == 0) {
-                allocated_[f] = 1;
-                used_[chunk]++;
-                dev_.zero(f * mem::kPageSize, mem::kPageSize);
-                return f * mem::kPageSize;
-            }
-        }
-        throw std::bad_alloc(); // unreachable: chunk was not full
-    }
-
-    void
-    free(mem::Paddr frame)
-    {
-        const std::uint64_t f = frame / mem::kPageSize;
-        allocated_[f] = 0;
-        used_[f / kChunk]--;
-    }
-
-    mem::Device &dev_;
-    std::uint64_t totalFrames_;
-    std::vector<std::uint8_t> allocated_;
-    std::vector<std::uint32_t> used_;
-};
-
-/**
- * Metadata frame churn at 50% occupancy: free a random held frame,
- * allocate a replacement. The fast side is the Buddy policy (two
- * word-scans over chunk bitmaps); the reference runs the identical
- * placement policy with linear scans. Both zero the frame through the
- * same Device, so the ratio isolates the allocator structure.
- */
-template <typename Alloc>
-void
-runFrameChurn(benchmark::State &state, Alloc &alloc)
-{
-    const std::uint64_t totalFrames = kFrameRegion / mem::kPageSize;
-    std::vector<mem::Paddr> held;
-    held.reserve(totalFrames / 2);
-    for (std::uint64_t i = 0; i < totalFrames / 2; i++)
-        held.push_back(alloc.alloc());
-    sim::Rng rng(77);
-    for (auto _ : state) {
-        const std::uint64_t idx = rng.below(held.size());
-        alloc.free(held[idx]);
-        held[idx] = alloc.alloc();
-        benchmark::DoNotOptimize(held[idx]);
-    }
-}
-
 void
 BM_FrameAllocChurn(benchmark::State &state)
 {
@@ -411,20 +197,20 @@ BM_FrameAllocChurn(benchmark::State &state)
                      mem::Backing::Sparse);
     mem::FrameAllocator frames(dram, 0, kFrameRegion,
                                mem::FramePolicy::Buddy);
-    runFrameChurn(state, frames);
+    const std::uint64_t totalFrames = kFrameRegion / mem::kPageSize;
+    std::vector<mem::Paddr> held;
+    held.reserve(totalFrames / 2);
+    for (std::uint64_t i = 0; i < totalFrames / 2; i++)
+        held.push_back(frames.alloc());
+    sim::Rng rng(77);
+    for (auto _ : state) {
+        const std::uint64_t idx = rng.below(held.size());
+        frames.free(held[idx]);
+        held[idx] = frames.alloc();
+        benchmark::DoNotOptimize(held[idx]);
+    }
 }
 BENCHMARK(BM_FrameAllocChurn);
-
-void
-BM_FrameAllocChurnRef(benchmark::State &state)
-{
-    sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, kFrameRegion, cm,
-                     mem::Backing::Sparse);
-    RefFrameAlloc frames(dram, kFrameRegion);
-    runFrameChurn(state, frames);
-}
-BENCHMARK(BM_FrameAllocChurnRef);
 
 void
 BM_DaxVmMmapMunmap(benchmark::State &state)
@@ -503,7 +289,8 @@ BENCHMARK(BM_EngineRun16Threads);
  * so the run can be serialized as a BenchResult like the figure
  * benches (one figure, one "real_ns" series). Host wall-clock numbers
  * are inherently noisy, so the figure goes in the result's "host"
- * section, which tools/check_sweep and scripts/bench_diff.py ignore.
+ * section, which tools/check_sweep ignores: the rows are informational
+ * timings, not a gate.
  */
 class CaptureReporter : public benchmark::ConsoleReporter
 {
@@ -533,72 +320,6 @@ class CaptureReporter : public benchmark::ConsoleReporter
                            {bench::Series{"real_ns", {}}}};
 };
 
-/** Adjusted real ns of benchmark @p name in the captured figure. */
-double
-nsOf(const bench::FigureData &fig, const std::string &name)
-{
-    for (std::size_t i = 0; i < fig.xs.size(); i++)
-        if (fig.xs[i] == name && i < fig.series[0].values.size())
-            return fig.series[0].values[i];
-    return 0.0;
-}
-
-/**
- * Serialize the host-perf baseline (schema daxvm-bench-perf-v1):
- * per-primitive ns, the machine-independent fast/reference speedup
- * ratios CI gates on, and the engine's simulated-events-per-second.
- * See docs/performance.md for the schema and gating policy.
- */
-bool
-writePerfJson(const std::string &path, const bench::FigureData &fig)
-{
-    sim::Json root = sim::Json::object();
-    root["schema"] = sim::Json("daxvm-bench-perf-v1");
-    root["bench"] = sim::Json("micro_ops");
-
-    sim::Json prim = sim::Json::object();
-    for (std::size_t i = 0; i < fig.xs.size(); i++)
-        if (i < fig.series[0].values.size())
-            prim[fig.xs[i]] = sim::Json(fig.series[0].values[i]);
-    root["primitives_ns"] = std::move(prim);
-
-    sim::Json speedups = sim::Json::object();
-    auto pair = [&](const char *key, const char *fast, const char *ref,
-                    double minRatio) {
-        const double fastNs = nsOf(fig, fast);
-        const double refNs = nsOf(fig, ref);
-        sim::Json s = sim::Json::object();
-        s["fast_ns"] = sim::Json(fastNs);
-        s["ref_ns"] = sim::Json(refNs);
-        s["ratio"] = sim::Json(fastNs > 0 ? refNs / fastNs : 0.0);
-        s["min_ratio"] = sim::Json(minRatio);
-        speedups[key] = std::move(s);
-    };
-    pair("walk_loop", "BM_MmuTranslate", "BM_MmuTranslateNoCache", 1.5);
-    pair("flush_loop", "BM_DeviceFlushLoop", "BM_DeviceFlushLoopRef",
-         1.5);
-    // Frame churn gates the Buddy word-scans against the same policy
-    // run with naive linear scans.
-    pair("frame_churn", "BM_FrameAllocChurn", "BM_FrameAllocChurnRef", 1.5);
-    root["speedups"] = std::move(speedups);
-
-    // One BM_EngineRun16Threads iteration is 16 threads x 1000 quanta.
-    const double engineNs = nsOf(fig, "BM_EngineRun16Threads");
-    root["events_per_sec"] =
-        sim::Json(engineNs > 0 ? 16000.0 * 1e9 / engineNs : 0.0);
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    const std::string text = root.dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
-}
-
 } // namespace
 
 int
@@ -608,14 +329,11 @@ main(int argc, char **argv)
     // rest of the command line.
     std::vector<char *> args;
     std::string jsonPath;
-    std::string perfPath;
     std::string tracePath;
     std::string foldedPath;
     for (int i = 0; i < argc; i++) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--perf-json") == 0 && i + 1 < argc)
-            perfPath = argv[++i];
         else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
             tracePath = argv[++i];
         else if (std::strcmp(argv[i], "--trace-folded") == 0
@@ -643,9 +361,6 @@ main(int argc, char **argv)
     // Wall-clock rows go in the "host" section; the deterministic
     // "figures" section stays empty so the run can join the
     // determinism sweep.
-    bench::FigureData fig = reporter.takeFigure();
-    if (!perfPath.empty() && !writePerfJson(perfPath, fig))
-        return 1;
-    bench::result().hostFigures.push_back(std::move(fig));
+    bench::result().hostFigures.push_back(reporter.takeFigure());
     return bench::finish();
 }

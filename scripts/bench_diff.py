@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Aggregate, validate and regression-diff DaxVM bench results.
+"""Aggregate and validate DaxVM bench results.
 
 Every bench binary emits a BenchResult JSON (schema
 ``daxvm-bench-result-v1``, see docs/metrics.md) when run with
@@ -7,29 +7,17 @@ Every bench binary emits a BenchResult JSON (schema
 
   aggregate DIR -o OUT   bundle all per-bench JSONs in DIR into one
                          aggregate file (schema daxvm-bench-aggregate-v1)
-  validate FILE...       schema-check BenchResult or aggregate files
-  diff OLD NEW           compare two aggregates figure-by-figure and
-                         fail (exit 1) on regressions past --threshold
-  perf FILE...           schema-check host-perf baselines (schema
-                         daxvm-bench-perf-v1, emitted by
-                         micro_ops --perf-json) and fail when any
-                         fast/reference speedup ratio is below its
-                         required min_ratio
-  perf-diff OLD NEW      compare two host-perf baselines; gate on the
-                         machine-portable speedup ratios (lower is a
-                         regression, generous --threshold default 25%
-                         for runner noise); raw ns and events/sec are
-                         reported but never gate (machine-dependent)
-  selftest               exercise diff on synthetic data (a clean pair
-                         must pass, a 20% regression must be caught)
+  validate FILE...       schema-check BenchResult or aggregate files:
+                         figure schema, series shape, and windowed
+                         timelines that reconcile with their run totals
+  selftest               exercise validate on synthetic documents (clean
+                         ones must pass, broken ones must be rejected)
 
-Regression direction is inferred from the figure title: a title
-containing "lower is better" treats increases as regressions, "higher
-is better" (or a plain throughput figure) treats decreases as
-regressions. Figures whose title carries no marker are reported but
-never gate. The micro_ops bench measures host wall-clock time; its
-rows live under the result's separate "host" section, which the
-comparator ignores entirely (only "figures" is diffed).
+It never compares two runs. Bench output is deterministic virtual time,
+so a change that must not move the model is checked byte for byte
+against a run of the parent commit (EXPERIMENTS.md), and host
+performance is gated only by benchmark/compare.py against
+BENCHMARK.json (docs/performance.md).
 """
 
 import argparse
@@ -40,12 +28,7 @@ import sys
 
 RESULT_SCHEMA = "daxvm-bench-result-v1"
 AGGREGATE_SCHEMA = "daxvm-bench-aggregate-v1"
-PERF_SCHEMA = "daxvm-bench-perf-v1"
 TIMELINE_SCHEMA = "daxvm-bench-timeline-v1"
-DEFAULT_THRESHOLD = 10.0  # percent
-PERF_DEFAULT_THRESHOLD = 25.0  # percent; host timing is noisy
-# Host-time benches: never gate on them.
-WALL_CLOCK_BENCHES = {"micro_ops"}
 
 
 def fail(msg):
@@ -124,12 +107,11 @@ def validate_result(doc, name):
             if not isinstance(metrics.get(key), dict):
                 problems.append(f"{name}: metrics.{key} missing")
     # Optional host wall-clock section (micro_ops): informational only,
-    # never compared, but it must at least be an object when present.
+    # but it must at least be an object when present.
     if "host" in doc and not isinstance(doc["host"], dict):
         problems.append(f"{name}: 'host' present but not an object")
     # Optional windowed-telemetry section (docs/metrics.md): validated
-    # for internal consistency, but the series are report-only - the
-    # diff comparator never gates on them.
+    # for internal consistency; the series themselves are report-only.
     if "timeline" in doc:
         problems += validate_timeline(doc["timeline"], name)
     # Optional tracing section (only present on --trace runs).
@@ -289,272 +271,12 @@ def cmd_aggregate(args):
     return 0
 
 
-# --------------------------------------------------------------------- diff
-
-
-def direction(title):
-    """+1 = higher is better, -1 = lower is better, 0 = don't gate."""
-    t = title.lower()
-    if "lower is better" in t:
-        return -1
-    if "higher is better" in t:
-        return +1
-    return 0
-
-
-def iter_points(doc):
-    """Yield (figure_title, series_name, x, value) for one BenchResult."""
-    for fig in doc.get("figures", []):
-        for s in fig.get("series", []):
-            for x, v in zip(fig.get("xs", []), s.get("values", [])):
-                yield fig["title"], s["name"], x, v
-
-
-def slo_guarded(title, base, v):
-    """True when a point on an SLO-derived figure should not gate.
-
-    SLO figures (violation shares, saturation-throughput-vs-SLO) read
-    exactly 0 when the underlying latency histogram recorded no samples
-    or no load point met the target — routine for request-count-scaled
-    smoke runs (fig10_openloop --requests). A 0 on either side is
-    "no data", not a measured value: report the swing, never gate.
-    """
-    return "slo" in title.lower() and (base == 0 or v == 0)
-
-
-def diff_results(old, new, threshold):
-    """Compare two aggregates; return (regressions, report_lines)."""
-    regressions = []
-    lines = []
-    old_results = old.get("results", {})
-    new_results = new.get("results", {})
-    for bench in sorted(set(old_results) | set(new_results)):
-        if bench not in new_results:
-            lines.append(f"{bench}: MISSING from new results")
-            regressions.append(f"{bench}: bench disappeared")
-            continue
-        if bench not in old_results:
-            lines.append(f"{bench}: new bench (no baseline)")
-            continue
-        old_points = {(t, s, x): v
-                      for t, s, x, v in iter_points(old_results[bench])}
-        gate = bench not in WALL_CLOCK_BENCHES
-        for t, s, x, v in iter_points(new_results[bench]):
-            key = (t, s, x)
-            if key not in old_points:
-                continue
-            base = old_points[key]
-            if base == 0:
-                continue
-            pct = 100.0 * (v - base) / abs(base)
-            sign = direction(t)
-            regressed = (gate and sign != 0 and abs(pct) > threshold
-                         and (pct < 0) == (sign > 0)
-                         and not slo_guarded(t, base, v))
-            marker = " REGRESSION" if regressed else ""
-            if abs(pct) > threshold:
-                lines.append(
-                    f"{bench}: {t} [{s} @ {x}] "
-                    f"{base:.3f} -> {v:.3f} ({pct:+.1f}%){marker}")
-            if regressed:
-                regressions.append(
-                    f"{bench}: {t} [{s} @ {x}] {pct:+.1f}%")
-    return regressions, lines
-
-
-def cmd_diff(args):
-    try:
-        old = load(args.old)
-        new = load(args.new)
-    except (OSError, json.JSONDecodeError) as e:
-        return fail(f"diff: {e}")
-    for doc, path in ((old, args.old), (new, args.new)):
-        if doc.get("schema") != AGGREGATE_SCHEMA:
-            return fail(f"diff: {path} is not a {AGGREGATE_SCHEMA}")
-    regressions, lines = diff_results(old, new, args.threshold)
-    for line in lines:
-        print(line)
-    if regressions:
-        print(f"diff: {len(regressions)} regression(s) past "
-              f"{args.threshold:.1f}%:", file=sys.stderr)
-        for r in regressions:
-            print(f"  {r}", file=sys.stderr)
-        return 1
-    print(f"diff: no regressions past {args.threshold:.1f}%")
-    return 0
-
-
-# --------------------------------------------------------------------- perf
-
-
-def finite_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
-
-
-def validate_perf(doc, name):
-    """Return a list of problems with one daxvm-bench-perf-v1 document."""
-    problems = []
-    if doc.get("schema") != PERF_SCHEMA:
-        problems.append(
-            f"{name}: schema is {doc.get('schema')!r}, want {PERF_SCHEMA!r}")
-    if not isinstance(doc.get("bench"), str):
-        problems.append(f"{name}: missing 'bench'")
-    prim = doc.get("primitives_ns")
-    if not isinstance(prim, dict) or not prim:
-        problems.append(f"{name}: 'primitives_ns' missing or empty")
-    else:
-        for key, v in sorted(prim.items()):
-            if not finite_number(v) or v < 0:
-                problems.append(f"{name}: primitives_ns[{key!r}] invalid")
-    speedups = doc.get("speedups")
-    if not isinstance(speedups, dict) or not speedups:
-        problems.append(f"{name}: 'speedups' missing or empty")
-    else:
-        for key, s in sorted(speedups.items()):
-            if not isinstance(s, dict):
-                problems.append(f"{name}: speedups[{key!r}] not an object")
-                continue
-            for field in ("fast_ns", "ref_ns", "ratio", "min_ratio"):
-                if not finite_number(s.get(field)) or s.get(field) <= 0:
-                    problems.append(
-                        f"{name}: speedups[{key!r}].{field} invalid")
-    if not finite_number(doc.get("events_per_sec")) \
-            or doc.get("events_per_sec") <= 0:
-        problems.append(f"{name}: 'events_per_sec' invalid")
-    return problems
-
-
-def perf_gate(doc):
-    """Speedup ratios below their required minimum, as failure strings."""
-    failures = []
-    for key, s in sorted(doc.get("speedups", {}).items()):
-        if not isinstance(s, dict):
-            continue
-        ratio = s.get("ratio", 0.0)
-        required = s.get("min_ratio", 0.0)
-        if finite_number(ratio) and finite_number(required) \
-                and ratio < required:
-            failures.append(
-                f"{key}: speedup {ratio:.2f}x below required "
-                f"{required:.2f}x")
-    return failures
-
-
-def cmd_perf(args):
-    problems = []
-    for path in args.files:
-        name = os.path.basename(path)
-        try:
-            doc = load(path)
-        except (OSError, json.JSONDecodeError) as e:
-            problems.append(f"{path}: unreadable: {e}")
-            continue
-        doc_problems = validate_perf(doc, name)
-        problems += doc_problems
-        if doc_problems:
-            continue
-        for key, s in sorted(doc["speedups"].items()):
-            print(f"perf: {name}: {key} {s['ratio']:.2f}x "
-                  f"(required >= {s['min_ratio']:.2f}x)")
-        print(f"perf: {name}: events_per_sec "
-              f"{doc['events_per_sec']:.0f}")
-        problems += [f"{name}: {f}" for f in perf_gate(doc)]
-    for p in problems:
-        print(f"bench_diff: {p}", file=sys.stderr)
-    if problems:
-        return 1
-    print(f"perf: {len(args.files)} file(s) OK")
-    return 0
-
-
-def perf_diff_results(old, new, threshold):
-    """Compare two perf baselines; return (regressions, report_lines)."""
-    regressions = []
-    lines = []
-
-    def pct_change(base, v):
-        return 100.0 * (v - base) / abs(base)
-
-    old_speed = old.get("speedups", {})
-    new_speed = new.get("speedups", {})
-    for key in sorted(set(old_speed) | set(new_speed)):
-        if key not in new_speed:
-            lines.append(f"speedups.{key}: MISSING from new baseline")
-            regressions.append(f"speedups.{key}: disappeared")
-            continue
-        if key not in old_speed:
-            lines.append(f"speedups.{key}: new (no baseline)")
-            continue
-        base = old_speed[key].get("ratio")
-        v = new_speed[key].get("ratio")
-        if not finite_number(base) or not finite_number(v) or base == 0:
-            continue
-        pct = pct_change(base, v)
-        regressed = pct < -threshold
-        if abs(pct) > threshold or regressed:
-            marker = " REGRESSION" if regressed else ""
-            lines.append(f"speedups.{key}.ratio: {base:.2f}x -> "
-                         f"{v:.2f}x ({pct:+.1f}%){marker}")
-        if regressed:
-            regressions.append(f"speedups.{key}.ratio {pct:+.1f}%")
-
-    # Raw ns and events/sec depend on the machine the baseline was
-    # generated on: report large swings, never gate.
-    base = old.get("events_per_sec")
-    v = new.get("events_per_sec")
-    if finite_number(base) and finite_number(v) and base != 0:
-        pct = pct_change(base, v)
-        if abs(pct) > threshold:
-            lines.append(f"events_per_sec: {base:.0f} -> {v:.0f} "
-                         f"({pct:+.1f}%) [informational]")
-    old_prim = old.get("primitives_ns", {})
-    new_prim = new.get("primitives_ns", {})
-    for key in sorted(set(old_prim) & set(new_prim)):
-        base, v = old_prim[key], new_prim[key]
-        if not finite_number(base) or not finite_number(v) or base == 0:
-            continue
-        pct = pct_change(base, v)
-        if abs(pct) > threshold:
-            lines.append(f"primitives_ns.{key}: {base:.1f} -> {v:.1f} "
-                         f"({pct:+.1f}%) [informational]")
-
-    return regressions, lines
-
-
-def cmd_perf_diff(args):
-    try:
-        old = load(args.old)
-        new = load(args.new)
-    except (OSError, json.JSONDecodeError) as e:
-        return fail(f"perf-diff: {e}")
-    problems = validate_perf(old, args.old) + validate_perf(new, args.new)
-    if problems:
-        for p in problems:
-            print(f"bench_diff: {p}", file=sys.stderr)
-        return 1
-    regressions, lines = perf_diff_results(old, new, args.threshold)
-    for line in lines:
-        print(line)
-    if regressions:
-        print(f"perf-diff: {len(regressions)} regression(s) past "
-              f"{args.threshold:.1f}%:", file=sys.stderr)
-        for r in regressions:
-            print(f"  {r}", file=sys.stderr)
-        return 1
-    print(f"perf-diff: no speedup regressions past "
-          f"{args.threshold:.1f}%")
-    return 0
-
-
 # ----------------------------------------------------------------- selftest
 
 
-def synthetic(values, slo=None):
-    """A minimal aggregate with one throughput and one latency figure,
-    plus (optionally) an SLO-derived saturation figure."""
-    thr, lat = values
-    doc = {
+def synthetic():
+    """A minimal aggregate holding one bench with one figure."""
+    return {
         "schema": AGGREGATE_SCHEMA,
         "results": {
             "fake_bench": {
@@ -564,34 +286,17 @@ def synthetic(values, slo=None):
                 "notes": [],
                 "config": {},
                 "systems_recorded": 1,
-                "figures": [
-                    {
-                        "title": "ops/sec (higher is better)",
-                        "x_label": "threads",
-                        "xs": ["1", "2"],
-                        "series": [{"name": "daxvm", "values": thr}],
-                    },
-                    {
-                        "title": "latency us (lower is better)",
-                        "x_label": "size",
-                        "xs": ["4K", "16K"],
-                        "series": [{"name": "mmap", "values": lat}],
-                    },
-                ],
+                "figures": [{
+                    "title": "ops/sec",
+                    "x_label": "threads",
+                    "xs": ["1", "2"],
+                    "series": [{"name": "daxvm", "values": [100.0, 200.0]}],
+                }],
                 "metrics": {"counters": {}, "gauges": {},
                             "histograms": {}},
             }
         },
     }
-    if slo is not None:
-        doc["results"]["fake_bench"]["figures"].append({
-            "title": "saturation throughput vs p99 SLO "
-                     "(krps, higher is better)",
-            "x_label": "p99 SLO",
-            "xs": ["0.5ms", "1ms"],
-            "series": [{"name": "tenant", "values": slo}],
-        })
-    return doc
 
 
 def synthetic_timeline(starts=(0, 5_000_000), counts=(10, 20),
@@ -624,85 +329,24 @@ def synthetic_timeline(starts=(0, 5_000_000), counts=(10, 20),
     }
 
 
-def synthetic_perf(walk_ratio, flush_ratio, frame_ratio=4.0):
-    """A minimal daxvm-bench-perf-v1 document."""
-    return {
-        "schema": PERF_SCHEMA,
-        "bench": "micro_ops",
-        "primitives_ns": {"BM_MmuTranslate": 100.0,
-                          "BM_DeviceFlushLoop": 30000.0},
-        "speedups": {
-            "walk_loop": {"fast_ns": 100.0,
-                          "ref_ns": 100.0 * walk_ratio,
-                          "ratio": walk_ratio, "min_ratio": 1.5},
-            "flush_loop": {"fast_ns": 30000.0,
-                           "ref_ns": 30000.0 * flush_ratio,
-                           "ratio": flush_ratio, "min_ratio": 1.5},
-            "frame_churn": {"fast_ns": 50.0,
-                            "ref_ns": 50.0 * frame_ratio,
-                            "ratio": frame_ratio, "min_ratio": 1.5},
-        },
-        "events_per_sec": 25e6,
-    }
-
-
 def cmd_selftest(args):
     del args
-    base = synthetic(([100.0, 200.0], [5.0, 9.0]))
     checks = []
 
-    problems = validate_doc(base, "selftest-base")
-    checks.append(("validate clean aggregate", not problems))
-
-    # Identical results: no regressions.
-    regs, _ = diff_results(base, synthetic(([100.0, 200.0], [5.0, 9.0])),
-                           DEFAULT_THRESHOLD)
-    checks.append(("identical pair passes", not regs))
-
-    # 20% throughput drop must be caught.
-    regs, _ = diff_results(base, synthetic(([80.0, 200.0], [5.0, 9.0])),
-                           DEFAULT_THRESHOLD)
-    checks.append(("20% throughput drop caught", len(regs) == 1))
-
-    # 20% latency increase must be caught.
-    regs, _ = diff_results(base, synthetic(([100.0, 200.0], [6.0, 9.0])),
-                           DEFAULT_THRESHOLD)
-    checks.append(("20% latency increase caught", len(regs) == 1))
-
-    # 20% improvement in both directions must NOT be flagged.
-    regs, _ = diff_results(base, synthetic(([120.0, 240.0], [4.0, 7.0])),
-                           DEFAULT_THRESHOLD)
-    checks.append(("improvements pass", not regs))
-
-    # SLO figures: a real 20% saturation-throughput drop gates...
-    slo_base = synthetic(([100.0, 200.0], [5.0, 9.0]),
-                         slo=[50.0, 80.0])
-    regs, _ = diff_results(
-        slo_base,
-        synthetic(([100.0, 200.0], [5.0, 9.0]), slo=[40.0, 80.0]),
-        DEFAULT_THRESHOLD)
-    checks.append(("SLO saturation drop caught", len(regs) == 1))
-    # ...but a collapse to exactly 0 means "no qualifying data"
-    # (zero-count histogram in a scaled-down smoke run): report-only.
-    regs, lines = diff_results(
-        slo_base,
-        synthetic(([100.0, 200.0], [5.0, 9.0]), slo=[0.0, 80.0]),
-        DEFAULT_THRESHOLD)
-    checks.append(("SLO zero never gates",
-                   not regs and any("SLO" in ln for ln in lines)))
+    checks.append(("validate clean aggregate",
+                   not validate_doc(synthetic(), "selftest-base")))
 
     # Broken documents must fail validation.
-    broken = synthetic(([1.0, 2.0], [3.0, 4.0]))
+    broken = synthetic()
     broken["results"]["fake_bench"]["figures"][0]["series"][0][
         "values"] = [1.0]  # length mismatch vs xs
     checks.append(("length mismatch rejected",
                    bool(validate_doc(broken, "selftest-broken"))))
 
     # Windowed-telemetry section: clean timelines validate, window
-    # starts must strictly increase, window sums must reconcile with
-    # the run totals (unless windows were truncated away), and the
-    # series never gate (a timeline-bearing pair diffs clean).
-    with_tl = synthetic(([100.0, 200.0], [5.0, 9.0]))
+    # starts must strictly increase, and window sums must reconcile
+    # with the run totals (unless windows were truncated away).
+    with_tl = synthetic()
     with_tl["results"]["fake_bench"]["timeline"] = synthetic_timeline()
     checks.append(("clean timeline validates",
                    not validate_doc(with_tl, "selftest-timeline")))
@@ -721,42 +365,6 @@ def cmd_selftest(args):
         "openloop.t.latency_ns"]["p999"] = 0
     checks.append(("unordered percentiles rejected",
                    bool(validate_timeline(bad_pct, "selftest"))))
-    regs, _ = diff_results(with_tl, with_tl, DEFAULT_THRESHOLD)
-    checks.append(("timeline series never gate", not regs))
-
-    # Host-perf baseline logic.
-    perf = synthetic_perf(1.8, 2.6)
-    checks.append(("perf baseline validates",
-                   not validate_perf(perf, "selftest-perf")))
-    checks.append(("perf ratios above minimum pass", not perf_gate(perf)))
-    checks.append(("perf ratio below minimum caught",
-                   len(perf_gate(synthetic_perf(1.2, 2.6))) == 1))
-    checks.append(("frame-churn ratio below minimum caught",
-                   len(perf_gate(
-                       synthetic_perf(1.8, 2.6, frame_ratio=1.2))) == 1))
-
-    # perf-diff: identical pair passes, a >25% ratio drop is caught,
-    # improvements and machine-dependent ns swings never gate.
-    regs, _ = perf_diff_results(perf, synthetic_perf(1.8, 2.6),
-                                PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff identical pair passes", not regs))
-    regs, _ = perf_diff_results(perf, synthetic_perf(1.8, 1.7),
-                                PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff ratio drop caught", len(regs) == 1))
-    regs, _ = perf_diff_results(
-        perf, synthetic_perf(1.8, 2.6, frame_ratio=2.9),
-        PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff frame-churn drop caught", len(regs) == 1))
-    regs, _ = perf_diff_results(perf, synthetic_perf(3.0, 4.0),
-                                PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff improvements pass", not regs))
-    slower_host = synthetic_perf(1.8, 2.6)
-    for key in slower_host["primitives_ns"]:
-        slower_host["primitives_ns"][key] *= 2.0
-    slower_host["events_per_sec"] /= 2.0
-    regs, _ = perf_diff_results(perf, slower_host,
-                                PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff raw ns never gates", not regs))
 
     ok = True
     for name, passed in checks:
@@ -778,28 +386,7 @@ def main(argv=None):
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("diff", help="compare two aggregates")
-    p.add_argument("old")
-    p.add_argument("new")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="regression threshold in percent (default 10)")
-    p.set_defaults(func=cmd_diff)
-
-    p = sub.add_parser("perf", help="validate host-perf baselines and "
-                                    "gate on speedup minimums")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_perf)
-
-    p = sub.add_parser("perf-diff", help="compare two host-perf baselines")
-    p.add_argument("old")
-    p.add_argument("new")
-    p.add_argument("--threshold", type=float,
-                   default=PERF_DEFAULT_THRESHOLD,
-                   help="speedup-ratio regression threshold in percent "
-                        "(default 25)")
-    p.set_defaults(func=cmd_perf_diff)
-
-    p = sub.add_parser("selftest", help="verify diff/validate logic")
+    p = sub.add_parser("selftest", help="verify validate logic")
     p.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)

@@ -4,8 +4,12 @@
 # Each bench also writes a machine-readable BenchResult (--json) into
 # $BENCH_OUT (default bench_results/); the per-bench files are
 # aggregated into BENCH_results.json and schema-checked with
-# scripts/bench_diff.py. Compare two aggregates for regressions with:
-#   python3 scripts/bench_diff.py diff OLD.json NEW.json
+# scripts/bench_diff.py. The figure rows are deterministic virtual
+# time, so a change that must not move the model byte-compares
+# bench_output.txt against a run of the parent commit, minus the
+# host-timed micro_ops and fig_aging_frag sections (EXPERIMENTS.md).
+# Host performance is gated by benchmark/compare.py against
+# BENCHMARK.json instead (docs/performance.md).
 #
 # Note on error handling: `cmd | tee log` exits with tee's status, so
 # `set -e` never sees cmd failing. Every stage below redirects to its

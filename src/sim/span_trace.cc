@@ -669,6 +669,30 @@ struct OpenSpan
     std::uint64_t childNs = 0;
 };
 
+/** The event's args.detail string ("" when absent). */
+std::string
+detailOf(const Json &ev)
+{
+    if (const Json *args = ev.find("args"))
+        if (const Json *d = args->find("detail"))
+            if (d->isString())
+                return d->asString();
+    return {};
+}
+
+/** TraceReport::instants key: category plus the detail's first word. */
+std::string
+instantKey(const Json &ev)
+{
+    const Json *cat = ev.find("cat");
+    std::string key = cat != nullptr && cat->isString() ? cat->asString()
+                                                        : "?";
+    const std::string detail = detailOf(ev);
+    if (!detail.empty())
+        key += " " + detail.substr(0, detail.find(' '));
+    return key;
+}
+
 } // namespace
 
 TraceReport
@@ -753,19 +777,18 @@ analyzeChromeTrace(const Json &doc)
                                           + ": flow phase without id");
             continue;
         }
-        if (phase == "i" || phase == "C")
+        if (phase == "i") {
+            report.instants[instantKey(ev)]++;
+            continue;
+        }
+        if (phase == "C")
             continue;
 
         const Json *name = ev.find("name");
         const std::string spanName =
             name != nullptr && name->isString() ? name->asString() : "";
         if (phase == "B") {
-            std::string detail;
-            if (const Json *args = ev.find("args"))
-                if (const Json *d = args->find("detail"))
-                    if (d->isString())
-                        detail = d->asString();
-            track.stack.push_back({spanName, detail, tsNs, 0});
+            track.stack.push_back({spanName, detailOf(ev), tsNs, 0});
             continue;
         }
 
@@ -834,6 +857,23 @@ fmtUs(std::uint64_t ns)
     return buf;
 }
 
+/** The first 20 schema problems, then a count of the rest. */
+void
+appendProblems(std::string &out, const std::vector<std::string> &problems)
+{
+    if (problems.empty())
+        return;
+    out += "\nproblems:\n";
+    for (std::size_t i = 0; i < problems.size(); i++) {
+        if (i == 20) {
+            out += "  ... (" + std::to_string(problems.size() - 20)
+                + " more)\n";
+            break;
+        }
+        out += "  " + problems[i] + "\n";
+    }
+}
+
 } // namespace
 
 std::string
@@ -850,29 +890,18 @@ formatTraceReport(const TraceReport &report, std::size_t topN)
                   report.problems.size(), report.nonMonotone);
     out += line;
     if (report.dropped > 0) {
-        // Ring overflow means the spans below are a biased sample:
-        // whatever wrapped first is undercounted. Attribution tables
-        // over such a window would claim precision the data no longer
-        // has, so refuse them instead of printing wrong percentages.
+        // Ring overflow means the spans and instants below are a
+        // biased sample: whatever wrapped first is undercounted.
+        // Attribution and instant tables over such a window would
+        // claim precision the data no longer has, so refuse them
+        // instead of printing wrong percentages and counts.
         std::snprintf(line, sizeof(line),
                       "attribution refused: ring overflow dropped %"
                       PRIu64 " events, totals would undercount "
                       "(raise DAXVM_TRACE_EVENTS)\n",
                       report.dropped);
         out += line;
-        if (!report.problems.empty()) {
-            out += "\nproblems:\n";
-            std::size_t shownProblems = 0;
-            for (const std::string &p : report.problems) {
-                if (shownProblems++ >= 20) {
-                    out += "  ... ("
-                        + std::to_string(report.problems.size() - 20)
-                        + " more)\n";
-                    break;
-                }
-                out += "  " + p + "\n";
-            }
-        }
+        appendProblems(out, report.problems);
         return out;
     }
 
@@ -934,6 +963,15 @@ formatTraceReport(const TraceReport &report, std::size_t topN)
     if (report.lockWaitNs.empty())
         out += "  (no lock waits recorded)\n";
 
+    out += "\ninstants by kind:\n";
+    for (const auto &[kind, count] : report.instants) {
+        std::snprintf(line, sizeof(line), "  %-32s %10" PRIu64 "\n",
+                      kind.c_str(), count);
+        out += line;
+    }
+    if (report.instants.empty())
+        out += "  (no instants recorded)\n";
+
     out += "\nreconciliation totals (ns):\n";
     const auto total = [&](const char *name) -> std::uint64_t {
         const auto it = report.spans.find(name);
@@ -948,19 +986,7 @@ formatTraceReport(const TraceReport &report, std::size_t topN)
                   total("journal_commit"));
     out += line;
 
-    if (!report.problems.empty()) {
-        out += "\nproblems:\n";
-        std::size_t shownProblems = 0;
-        for (const std::string &p : report.problems) {
-            if (shownProblems++ >= 20) {
-                out += "  ... ("
-                    + std::to_string(report.problems.size() - 20)
-                    + " more)\n";
-                break;
-            }
-            out += "  " + p + "\n";
-        }
-    }
+    appendProblems(out, report.problems);
     return out;
 }
 

@@ -5,12 +5,12 @@
  * The recorder keeps one bounded ring of typed events per (process,
  * track): Begin/End spans (nesting: a `fault` span contains its
  * `pt_walk`, `frame_alloc`, `zero`, `journal_commit` and shootdown
- * children), Instant events (the old DAX_TRACE text lines, recorded
- * structurally), and periodic Counter samples pulled from the attached
- * sim::MetricsRegistry. Tracks map to simulated hardware threads and
- * daemons; each sys::System registers as one process so traces from
- * sequential Systems (whose engine clocks restart at zero) stay
- * monotone per track.
+ * children), Instant events (one per DAX_TRACE call site, with the
+ * formatted arguments as detail), and periodic Counter samples pulled
+ * from the attached sim::MetricsRegistry. Tracks map to simulated
+ * hardware threads and daemons; each sys::System registers as one
+ * process so traces from sequential Systems (whose engine clocks
+ * restart at zero) stay monotone per track.
  *
  * Two exporters: Chrome `trace_event` JSON (loadable in Perfetto) and
  * Brendan-Gregg folded stacks (flamegraphs). analyzeChromeTrace() is
@@ -41,7 +41,7 @@ namespace dax::sim {
 class Json;
 class MetricsRegistry;
 
-/** Trace categories, shared by the text renderer and the span recorder. */
+/** Trace categories: the recorder's enable mask has one bit each. */
 enum class TraceCat : unsigned
 {
     Fault = 0,
@@ -280,6 +280,11 @@ struct TraceReport
     std::uint64_t faultTotalNs = 0;
     std::map<std::string, std::uint64_t> lockWaits;
     std::map<std::string, std::uint64_t> lockWaitNs;
+    /**
+     * Instant events keyed by category plus kind, the first word of
+     * the detail: "fault write", "daxvm zombie".
+     */
+    std::map<std::string, std::uint64_t> instants;
     /** Schema violations: unmatched E, unclosed B, malformed pid/tid. */
     std::vector<std::string> problems;
     /** Timestamp regressions per track (informational, see docs). */

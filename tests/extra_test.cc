@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "daxvm/api.h"
-#include "sim/trace.h"
 #include "daxvm/file_table.h"
 #include "workloads/kvstore.h"
 #include "sys/system.h"
@@ -359,44 +358,4 @@ TEST(Fork, EphemeralMappingsNotInherited)
                  std::runtime_error);
     // Parent still works.
     f.as->memRead(f.cpu, va, 8, mem::Pattern::Rand);
-}
-
-TEST(TraceExtra, CapturesEnabledCategoriesOnly)
-{
-    auto &trace = sim::Trace::get();
-    trace.reset();
-    trace.setSink(nullptr); // capture mode
-    trace.enable(sim::TraceCat::Fault);
-
-    Fixture f;
-    const fs::Ino ino = f.system.makeFile("/t", 4096);
-    const std::uint64_t va = f.as->mmap(f.cpu, ino, 0, 4096, false, 0);
-    f.as->memRead(f.cpu, va, 8, mem::Pattern::Rand); // one fault
-
-    const std::string out = trace.captured();
-    EXPECT_NE(out.find("fault: read"), std::string::npos);
-    // mmap category was off: no mmap lines.
-    EXPECT_EQ(out.find("mmap ino="), std::string::npos);
-
-    trace.reset();
-}
-
-TEST(TraceExtra, SpecParsing)
-{
-    auto &trace = sim::Trace::get();
-    trace.reset();
-    trace.enableFromSpec("fault,daxvm");
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Fault));
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Daxvm));
-    EXPECT_FALSE(trace.enabled(sim::TraceCat::Mmap));
-    trace.reset();
-    trace.enableFromSpec("latr,lock");
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Latr));
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Lock));
-    EXPECT_FALSE(trace.enabled(sim::TraceCat::Fault));
-    trace.reset();
-    trace.enableFromSpec("all");
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Prezero));
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Lock));
-    trace.reset();
 }

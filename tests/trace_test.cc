@@ -3,8 +3,8 @@
  * Structured span tracing tests: balanced Begin/End streams (even
  * under crash-injection unwinding), per-track timestamp monotonicity
  * on engine-driven runs, byte-identical behaviour with tracing off,
- * and reconciliation of trace_report totals against the metrics
- * registry (docs/tracing.md).
+ * per-category recording, and reconciliation of trace_report totals
+ * and instant counts against the metrics registry (docs/tracing.md).
  */
 #include <gtest/gtest.h>
 
@@ -199,6 +199,17 @@ TEST_F(TraceTest, ReportReconcilesWithMetricsRegistry)
     EXPECT_TRUE(within(report.faultTotalNs, faultNs))
         << report.faultTotalNs << " vs " << faultNs;
 
+    // handleFault records one `fault read|write` instant per entry,
+    // retries included, so the instants count every vm.faults bump.
+    const auto instants = [&](const char *kind) -> std::uint64_t {
+        const auto it = report.instants.find(kind);
+        return it != report.instants.end() ? it->second : 0;
+    };
+    const std::uint64_t faultInstants =
+        instants("fault read") + instants("fault write");
+    EXPECT_GT(faultInstants, 0u);
+    EXPECT_EQ(faultInstants, snap.counter("vm.faults"));
+
     std::uint64_t shootdownNs = 0;
     if (report.spans.count("shootdown") != 0)
         shootdownNs += report.spans.at("shootdown").totalNs;
@@ -251,7 +262,27 @@ TEST_F(TraceTest, ResetRestoresPristineState)
     EXPECT_EQ(sim::Trace::get().spans().droppedCount(), 0u);
     EXPECT_FALSE(sim::Trace::get().spans().enabled(
         sim::TraceCat::Fault));
-    EXPECT_FALSE(sim::Trace::get().enabled(sim::TraceCat::Fault));
+}
+
+TEST_F(TraceTest, RecordsOnlyEnabledCategories)
+{
+    // The recorder's mask gates DAX_TRACE and DAX_SPAN sites alike:
+    // with only Fault on, the workload's mmaps and MAP_SYNC journal
+    // commits leave nothing behind, even when nested in a fault.
+    sim::Trace::get().spans().disableAll();
+    sim::Trace::get().spans().enable(sim::TraceCat::Fault);
+    sys::System system(traceConfig(1));
+    runWorkload(system, 1);
+
+    const sim::TraceReport report = analyze();
+    ASSERT_TRUE(report.problems.empty())
+        << (report.problems.empty() ? "" : report.problems.front());
+    ASSERT_FALSE(report.instants.empty());
+    for (const auto &[kind, count] : report.instants)
+        EXPECT_EQ(kind.rfind("fault ", 0), 0u) << kind;
+    EXPECT_GT(report.faultCount, 0u);
+    EXPECT_EQ(report.spans.count("mmap"), 0u);
+    EXPECT_EQ(report.spans.count("journal_commit"), 0u);
 }
 
 TEST_F(TraceTest, ExportersProduceWellFormedOutput)

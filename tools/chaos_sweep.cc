@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "check/check.h"
+#include "sim/cli.h"
 #include "sim/fault.h"
 #include "sim/rng.h"
 #include "sim/trace.h"
@@ -435,9 +436,8 @@ main(int argc, char **argv)
         cfg.checkLevel = std::max(1, std::atoi(env));
     std::string tracePath;
 
-    auto usage = [&](const std::string &what) {
-        std::fprintf(stderr, "chaos_sweep: bad argument '%s'\n",
-                     what.c_str());
+    auto usage = [&](const char *why, const std::string &what) {
+        std::fprintf(stderr, "chaos_sweep: %s '%s'\n", why, what.c_str());
         std::fprintf(
             stderr,
             "usage: chaos_sweep [--seed N] [--rounds N] [--files N]\n"
@@ -460,21 +460,24 @@ main(int argc, char **argv)
         auto value = [&]() -> std::string {
             return ++i < argc ? argv[i] : "";
         };
+        bool ok = true;
         if (arg == "--seed")
-            cfg.seed = std::stoull(value());
+            ok = sim::parseNumber(value(), cfg.seed);
         else if (arg == "--rounds")
-            cfg.rounds = std::stoull(value());
+            ok = sim::parseNumber(value(), cfg.rounds);
         else if (arg == "--files")
-            cfg.files = static_cast<unsigned>(std::stoul(value()));
+            ok = sim::parseNumber(value(), cfg.files);
         else if (arg == "--file-bytes")
-            cfg.fileBytes = std::stoull(value());
+            ok = sim::parseNumber(value(), cfg.fileBytes);
         else if (arg == "--ops")
-            cfg.ops = std::stoull(value());
+            ok = sim::parseNumber(value(), cfg.ops);
         else if (arg == "--threads")
-            cfg.threads = static_cast<unsigned>(std::stoul(value()));
-        else if (arg == "--check")
-            cfg.checkLevel = std::atoi(value().c_str());
-        else if (arg == "--trace")
+            ok = sim::parseNumber(value(), cfg.threads);
+        else if (arg == "--check") {
+            unsigned level = 0;
+            ok = sim::parseNumber(value(), level);
+            cfg.checkLevel = static_cast<int>(level);
+        } else if (arg == "--trace")
             tracePath = value();
         else if (arg == "--verbose")
             cfg.verbose = true;
@@ -488,14 +491,16 @@ main(int argc, char **argv)
                 cfg.personalities = {fs::Personality::Ext4Dax,
                                      fs::Personality::Nova};
             else
-                return usage(v);
+                return usage("unknown filesystem", v);
         } else if (arg == "--workloads") {
             cfg.workloads = splitList(value());
         } else if (arg == "--policies") {
             cfg.policies = splitList(value());
         } else {
-            return usage(arg);
+            return usage("unknown option", arg);
         }
+        if (!ok)
+            return usage("missing or bad value for", arg);
     }
 
     if (!tracePath.empty())

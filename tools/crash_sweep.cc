@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/cli.h"
 #include "sim/fault.h"
 #include "sim/rng.h"
 #include "sys/system.h"
@@ -493,26 +494,13 @@ main(int argc, char **argv)
         auto value = [&]() -> std::string {
             return ++i < argc ? argv[i] : "";
         };
-        auto number = [&](std::uint64_t &out) {
-            const std::string v = value();
-            try {
-                std::size_t used = 0;
-                out = std::stoull(v, &used);
-                return used == v.size() && !v.empty();
-            } catch (const std::exception &) {
-                return false;
-            }
-        };
-        std::uint64_t n = 0;
-        if (arg == "--seed" || arg == "--ops" || arg == "--files") {
-            if (!number(n))
-                return usage("missing or bad value for", arg);
-            if (arg == "--seed")
-                cfg.seed = n;
-            else if (arg == "--ops")
-                cfg.ops = n;
-            else
-                cfg.files = static_cast<unsigned>(n);
+        bool ok = true;
+        if (arg == "--seed") {
+            ok = sim::parseNumber(value(), cfg.seed);
+        } else if (arg == "--ops") {
+            ok = sim::parseNumber(value(), cfg.ops);
+        } else if (arg == "--files") {
+            ok = sim::parseNumber(value(), cfg.files);
         } else if (arg == "--fs") {
             fsArg = value();
             if (fsArg != "ext4" && fsArg != "nova" && fsArg != "both")
@@ -522,6 +510,8 @@ main(int argc, char **argv)
         } else {
             return usage("unknown option", arg);
         }
+        if (!ok)
+            return usage("missing or bad value for", arg);
     }
 
     std::vector<ScenarioFailure> failures;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "sim/cli.h"
 #include "workloads/apache.h"
 #include "workloads/filesweep.h"
 #include "workloads/kvstore.h"
@@ -260,24 +261,36 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric values must parse whole, or the run stops at usage.
+        auto number = [&](auto &out) {
+            const std::string v = value();
+            if (!sim::parseNumber(v, out)) {
+                std::fprintf(stderr, "daxsim: bad value '%s' for %s\n",
+                             v.c_str(), arg.c_str());
+                usage(argv[0]);
+                std::exit(2);
+            }
+        };
         if (arg == "--workload")
             opt.workload = value();
         else if (arg == "--interface")
             opt.interface = value();
         else if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(std::stoul(value()));
+            number(opt.threads);
         else if (arg == "--file-bytes")
-            opt.fileBytes = std::stoull(value());
+            number(opt.fileBytes);
         else if (arg == "--files")
-            opt.files = std::stoull(value());
+            number(opt.files);
         else if (arg == "--ops")
-            opt.ops = std::stoull(value());
+            number(opt.ops);
         else if (arg == "--pmem-gb")
-            opt.pmemGb = std::stoull(value());
-        else if (arg == "--aged")
-            opt.aged = std::stoul(value()) != 0;
-        else if (arg == "--churn")
-            opt.churn = std::stod(value());
+            number(opt.pmemGb);
+        else if (arg == "--aged") {
+            unsigned aged = 0;
+            number(aged);
+            opt.aged = aged != 0;
+        } else if (arg == "--churn")
+            number(opt.churn);
         else if (arg == "--faults")
             opt.faults = value();
         else if (arg == "--json")

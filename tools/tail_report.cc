@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "sim/cli.h"
 #include "sim/json.h"
 #include "tools/tail_analysis.h"
 
@@ -62,7 +63,13 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
         if (arg == "--top" && i + 1 < argc) {
-            topK = static_cast<std::size_t>(std::stoul(argv[++i]));
+            if (!dax::sim::parseNumber(argv[++i], topK)) {
+                std::fprintf(stderr,
+                             "tail_report: bad value '%s' for --top\n",
+                             argv[i]);
+                usage(argv[0]);
+                return 2;
+            }
         } else if (arg == "--validate") {
             validateOnly = true;
         } else if (arg == "--help") {

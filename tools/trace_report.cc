@@ -4,8 +4,9 @@
  * with `--trace` (see docs/tracing.md).
  *
  * Default mode prints the top spans by self virtual time, the
- * per-fault latency breakdown, and per-lock wait attribution; the
- * totals reconcile with the bench's metrics snapshot. `--validate`
+ * per-fault latency breakdown, per-lock wait attribution, and the
+ * DAX_TRACE instants counted by kind (`fault write`, `daxvm zombie`);
+ * the totals reconcile with the bench's metrics snapshot. `--validate`
  * checks the trace's structure instead (every E matches a B, pids and
  * tids well-formed) and exits non-zero on any violation - CI runs it
  * on every uploaded trace.
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <string>
 
+#include "sim/cli.h"
 #include "sim/json.h"
 #include "sim/span_trace.h"
 
@@ -62,7 +64,13 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
         if (arg == "--top" && i + 1 < argc) {
-            topN = static_cast<std::size_t>(std::stoul(argv[++i]));
+            if (!dax::sim::parseNumber(argv[++i], topN)) {
+                std::fprintf(stderr,
+                             "trace_report: bad value '%s' for --top\n",
+                             argv[i]);
+                usage(argv[0]);
+                return 2;
+            }
         } else if (arg == "--validate") {
             validateOnly = true;
         } else if (arg == "--help") {
