@@ -58,7 +58,9 @@ BM_PageTableWalk(benchmark::State &state)
         pt.map(i * 4096, i * 4096, arch::kPteLevel, arch::pte::kWrite);
     std::uint64_t va = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(pt.lookup(va));
+        // The full four-level walk; lookup() would start at the leaf
+        // table the walk cache holds.
+        benchmark::DoNotOptimize(pt.walkFromRoot(va));
         va = (va + 4096) % (512 * 4096);
     }
 }

@@ -9,13 +9,8 @@
 
 namespace dax::arch {
 
-namespace {
-/** Simulation is single-threaded on the host; plain counter is fine. */
-std::uint64_t nextTableUid = 1;
-} // namespace
-
-PageTable::PageTable(mem::FrameAllocator &meta)
-    : meta_(meta), uid_(nextTableUid++)
+PageTable::PageTable(mem::FrameAllocator &meta, bool walkCache)
+    : meta_(meta), cacheOn_(walkCache)
 {
     root_ = newNode(/*leaf=*/false);
 }
@@ -57,7 +52,16 @@ Node *
 PageTable::walkTo(std::uint64_t va, int level, bool create,
                   unsigned *newPages)
 {
+    const bool cached = cacheOn_ && level == kPteLevel;
+    if (cached) {
+        if (const auto *e = walkCache_.find(va, structureGen_))
+            return e->pteNode;
+    }
     Node *node = root_;
+    // Whether lookup() would reach this leaf table through private,
+    // present entries, and their writability: what the cache records.
+    bool cacheable = !node->shared;
+    bool writable = true;
     for (int l = kPgdLevel; l > level; l--) {
         const unsigned idx = levelIndex(va, l);
         Node *next = node->child[idx];
@@ -71,25 +75,17 @@ PageTable::walkTo(std::uint64_t va, int level, bool create,
                                               | pte::kUser));
             if (newPages != nullptr)
                 (*newPages)++;
-        } else if (pte::huge(node->entry(idx))) {
-            throw std::logic_error("walk through huge mapping");
+        } else {
+            const Pte e = node->entry(idx);
+            if (pte::huge(e))
+                throw std::logic_error("walk through huge mapping");
+            cacheable = cacheable && pte::present(e) && !next->shared;
+            writable = writable && pte::writable(e);
         }
         node = next;
     }
-    return node;
-}
-
-const Node *
-PageTable::walkToConst(std::uint64_t va, int level) const
-{
-    const Node *node = root_;
-    for (int l = kPgdLevel; l > level; l--) {
-        const unsigned idx = levelIndex(va, l);
-        const Node *next = node->child[idx];
-        if (next == nullptr)
-            return nullptr;
-        node = next;
-    }
+    if (cached && cacheable)
+        walkCache_.fill(va, structureGen_, node, writable);
     return node;
 }
 
@@ -104,7 +100,7 @@ PageTable::map(std::uint64_t va, std::uint64_t pa, int level, Pte flags)
     Pte e = pte::make(pa, flags | pte::kPresent | pte::kUser);
     if (level > kPteLevel) {
         e |= pte::kHuge;
-        // A huge leaf can shadow a PTE subtree a walk cache captured.
+        // A huge leaf can shadow a PTE subtree the walk cache captured.
         structureGen_++;
     }
     node->setEntry(idx, e);
@@ -145,20 +141,39 @@ PageTable::setFlags(std::uint64_t va, int level, Pte set, Pte clearMask)
 WalkResult
 PageTable::lookup(std::uint64_t va) const
 {
+    if (!cacheOn_)
+        return walkFromRoot(va);
+    if (const auto *e = walkCache_.find(va, structureGen_))
+        return walkDown(va, e->pteNode, kPteLevel, e->upperWritable,
+                        /*fillCache=*/false);
+    return walkDown(va, root_, kPgdLevel, true, /*fillCache=*/true);
+}
+
+WalkResult
+PageTable::walkFromRoot(std::uint64_t va) const
+{
+    return walkDown(va, root_, kPgdLevel, true, /*fillCache=*/false);
+}
+
+WalkResult
+PageTable::walkDown(std::uint64_t va, Node *node, int level,
+                    bool writable, bool fillCache) const
+{
     WalkResult res;
-    const Node *node = root_;
-    bool writable = true;
+    res.levelsTouched = kPgdLevel - level;
     bool privatePath = !node->shared;
-    for (int l = kPgdLevel; l >= kPteLevel; l--) {
+    for (int l = level; l >= kPteLevel; l--) {
         res.levelsTouched++;
         const unsigned idx = levelIndex(va, l);
         const Pte e = node->entry(idx);
         if (l == kPteLevel && privatePath) {
-            // The path to this leaf table is all process-owned: a walk
-            // cache may capture it (upperWritable excludes the leaf
-            // entry, which cached walks re-read).
+            // The path to this leaf table is all process-owned: the
+            // walk cache may capture it (upperWritable excludes the
+            // leaf entry, which cached walks re-read).
             res.pteNode = node;
             res.upperWritable = writable;
+            if (fillCache)
+                walkCache_.fill(va, structureGen_, node, writable);
         }
         if (!pte::present(e))
             return res;

@@ -21,6 +21,7 @@
 #include <memory>
 
 #include "arch/pte.h"
+#include "arch/walk_cache.h"
 #include "mem/device.h"
 #include "mem/frame_alloc.h"
 
@@ -67,21 +68,31 @@ struct WalkResult
     /** Levels traversed (4 normal, fewer for huge mappings). */
     int levelsTouched = 0;
     /**
-     * PTE-level node the walk ended in, for the host-side walk cache.
-     * Only set when the whole path is owned by the walked table (no
-     * shared file-table fragments, whose owner may restructure them),
-     * and the walk reached PTE level -- huge leaves stay null.
+     * PTE-level node the walk ended in, as the table's walk cache
+     * records it. Only set when the whole path is owned by the walked
+     * table (no shared file-table fragments, whose owner may
+     * restructure them), and the walk reached PTE level -- huge leaves
+     * stay null.
      */
     const Node *pteNode = nullptr;
     /** AND of writability across interior levels (leaf excluded). */
     bool upperWritable = false;
+
+    bool operator==(const WalkResult &) const = default;
 };
 
 class PageTable
 {
   public:
-    /** @param meta frame source for owned nodes (typically DRAM). */
-    explicit PageTable(mem::FrameAllocator &meta);
+    /**
+     * @param meta frame source for owned nodes (typically DRAM).
+     * @param walkCache enable the host-side walk cache. Purely a
+     * host-time optimization: every WalkResult and so every simulated
+     * cost is bit-identical either way (SystemConfig::hostFastPaths /
+     * DAXVM_HOST_FAST=0 is the escape hatch, proven by the
+     * golden-equivalence test).
+     */
+    explicit PageTable(mem::FrameAllocator &meta, bool walkCache = true);
     ~PageTable();
 
     PageTable(const PageTable &) = delete;
@@ -106,8 +117,18 @@ class PageTable
     /** Update flag bits of an existing entry (e.g. drop kWrite). */
     bool setFlags(std::uint64_t va, int level, Pte set, Pte clearMask);
 
-    /** Functional translation of @p va. */
+    /**
+     * Functional translation of @p va. Starts at the cached leaf table
+     * when the walk cache holds the path.
+     */
     WalkResult lookup(std::uint64_t va) const;
+
+    /**
+     * The same translation walked from the root, never reading or
+     * filling the walk cache: the independent oracle that checkers
+     * compare cached state against.
+     */
+    WalkResult walkFromRoot(std::uint64_t va) const;
 
     /**
      * Attach a foreign (file-table) node at @p level of the tree:
@@ -132,23 +153,21 @@ class PageTable
     std::uint64_t ownedNodes() const { return ownedNodes_; }
 
     /**
-     * Identity tag for host-side walk caches: unique across every
-     * PageTable ever constructed (a deterministic counter, so a cache
-     * entry can never alias a recycled table address).
-     */
-    std::uint64_t uid() const { return uid_; }
-
-    /**
      * Structural generation: bumped whenever interior structure that a
-     * cached walk path may have captured changes (new/cleared interior
-     * or huge entries, attach/detach, attachment permission flips).
-     * Leaf PTE mutations do not bump it -- cached paths re-read the
-     * leaf entry from device bytes on every use.
+     * cached walk path may have captured changes (huge or interior
+     * entries mapped, cleared or re-flagged, attach/detach, attachment
+     * permission flips). Leaf PTE mutations do not bump it -- cached
+     * paths re-read the leaf entry from device bytes on every use --
+     * and neither does growing a new path, which no cached path
+     * crosses.
      */
     std::uint64_t structureGen() const { return structureGen_; }
 
     Node *root() { return root_; }
     const Node *root() const { return root_; }
+
+    /** Host-side walk cache (diagnostics for tests). */
+    const WalkCache &walkCache() const { return walkCache_; }
 
   private:
     Node *newNode(bool leaf);
@@ -156,13 +175,22 @@ class PageTable
     /** Walk to the node holding the entry for @p va at @p level. */
     Node *walkTo(std::uint64_t va, int level, bool create,
                  unsigned *newPages);
-    const Node *walkToConst(std::uint64_t va, int level) const;
+    /**
+     * Translate @p va from @p node at @p level, reached through
+     * upper levels whose writability AND is @p writable. With
+     * @p fillCache, a wholly private path to the leaf table is
+     * recorded in the walk cache.
+     */
+    WalkResult walkDown(std::uint64_t va, Node *node, int level,
+                        bool writable, bool fillCache) const;
 
     mem::FrameAllocator &meta_;
     Node *root_;
     std::uint64_t ownedNodes_ = 0;
-    std::uint64_t uid_;
     std::uint64_t structureGen_ = 0;
+    bool cacheOn_;
+    /** Filled by lookup(), which is const: host state only. */
+    mutable WalkCache walkCache_;
 };
 
 } // namespace dax::arch

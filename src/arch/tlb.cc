@@ -30,6 +30,8 @@ Tlb::probeSmall(std::uint64_t va, Asid asid)
 TlbEntry *
 Tlb::probeHuge(std::uint64_t va, Asid asid)
 {
+    if (hugeValid_ == 0)
+        return nullptr;
     for (auto &e : huge_) {
         if (!e.valid || e.asid != asid)
             continue;
@@ -59,8 +61,10 @@ Tlb::insert(std::uint64_t va, Asid asid, const WalkResult &walk)
     // later INVLPG of its twin).
     if (TlbEntry *e = probeSmall(va, asid))
         e->valid = false;
-    if (TlbEntry *e = probeHuge(va, asid))
+    if (TlbEntry *e = probeHuge(va, asid)) {
         e->valid = false;
+        hugeValid_--;
+    }
 
     const std::uint64_t mask = (1ULL << walk.pageShift) - 1;
     TlbEntry entry;
@@ -97,6 +101,8 @@ Tlb::insert(std::uint64_t va, Asid asid, const WalkResult &walk)
             if (e.lru < victim->lru)
                 victim = &e;
         }
+        if (!victim->valid)
+            hugeValid_++;
         *victim = entry;
     }
 }
@@ -110,6 +116,7 @@ Tlb::invalidatePage(std::uint64_t va, Asid asid)
     }
     if (TlbEntry *e = probeHuge(va, asid)) {
         e->valid = false;
+        hugeValid_--;
         invalidations_++;
     }
 }
@@ -121,6 +128,7 @@ Tlb::flush()
         e.valid = false;
     for (auto &e : huge_)
         e.valid = false;
+    hugeValid_ = 0;
     invalidations_++;
 }
 
@@ -132,8 +140,10 @@ Tlb::flushAsid(Asid asid)
             e.valid = false;
     }
     for (auto &e : huge_) {
-        if (e.asid == asid)
+        if (e.valid && e.asid == asid) {
             e.valid = false;
+            hugeValid_--;
+        }
     }
     invalidations_++;
 }
@@ -158,22 +168,10 @@ Mmu::translate(sim::Cpu &cpu, const PageTable &pt, std::uint64_t va,
         return res;
     }
 
-    // Miss: hardware page walk. The host-side walk cache skips
-    // re-deriving the upper levels when it holds the path; the
-    // resulting WalkResult (and so every simulated cost below) is
-    // identical to a full lookup of the same table state.
+    // Miss: hardware page walk (on the host, the table's walk cache
+    // may start it at the leaf table; the WalkResult is the same).
     perf.tlbMisses++;
-    WalkResult walk;
-    if (fastPaths_) {
-        if (const WalkCache::Entry *e = walkCache_.lookup(pt, va)) {
-            walk = walkCache_.walkFrom(*e, va);
-        } else {
-            walk = pt.lookup(va);
-            walkCache_.fill(pt, va, walk);
-        }
-    } else {
-        walk = pt.lookup(va);
-    }
+    const WalkResult walk = pt.lookup(va);
     sim::Time cost = cm_.walkUpperLevels;
     if (walk.levelsTouched > 0 || !walk.present) {
         const std::uint64_t line = walk.leafPteAddr / mem::kCacheLine;

@@ -18,7 +18,6 @@
 
 #include "arch/page_table.h"
 #include "arch/perf.h"
-#include "arch/walk_cache.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
 
@@ -37,6 +36,8 @@ struct TlbEntry
     bool writable = false;
     bool dram = false;
     std::uint64_t lru = 0;
+
+    bool operator==(const TlbEntry &) const = default;
 };
 
 class Tlb
@@ -77,6 +78,11 @@ class Tlb
     unsigned smallWays_;
     std::vector<TlbEntry> small_; // sets x ways
     std::vector<TlbEntry> huge_;  // fully associative
+    /**
+     * Valid entries in huge_, so probes skip the scan when there are
+     * none (most INVLPGs on 4 KB workloads). Host-side only.
+     */
+    unsigned hugeValid_ = 0;
     std::uint64_t lruTick_ = 1;
     std::uint64_t invalidations_ = 0;
 };
@@ -89,17 +95,7 @@ class Tlb
 class Mmu
 {
   public:
-    /**
-     * @param hostFastPaths enable the host-side walk cache. Purely a
-     * host-time optimization: simulated cost/perf accounting is
-     * computed from a WalkResult that is bit-identical either way
-     * (SystemConfig::hostFastPaths / DAXVM_HOST_FAST=0 is the escape
-     * hatch, proven by the golden-equivalence test).
-     */
-    explicit Mmu(const sim::CostModel &cm, bool hostFastPaths = true)
-        : cm_(cm), fastPaths_(hostFastPaths)
-    {
-    }
+    explicit Mmu(const sim::CostModel &cm) : cm_(cm) {}
 
     enum class Outcome
     {
@@ -125,15 +121,10 @@ class Mmu
 
     Tlb &tlb() { return tlb_; }
 
-    /** Host-side walk cache (diagnostics for tests). */
-    const WalkCache &walkCache() const { return walkCache_; }
-
   private:
     const sim::CostModel &cm_;
     Tlb tlb_;
     std::uint64_t lastLeafLine_ = ~0ULL;
-    WalkCache walkCache_;
-    bool fastPaths_;
 };
 
 } // namespace dax::arch

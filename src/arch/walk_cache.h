@@ -1,25 +1,29 @@
 /**
  * @file
- * Host-side paging-structure-cache analog.
+ * Host-side paging-structure-cache analog, one per PageTable.
  *
  * Hardware walkers keep PML4E/PDPTE/PDE caches so a TLB miss usually
  * costs one leaf PTE fetch, not four dependent loads. The simulator's
- * functional walk pays the same shape of cost on the *host*: four
- * device loadWord() probes per PageTable::lookup(). This cache keys
- * the upper three levels of a walk on the 2 MB region (va >> 21) and
- * remembers the PTE-level node they lead to, so a repeat walk only
- * re-reads the leaf entry from device bytes.
+ * functional walks pay the same shape of cost on the *host*: three
+ * device loadWord() probes to reach the leaf table, then the leaf
+ * entry. This cache keys the upper three levels of a walk on the 2 MB
+ * region (va >> 21) and remembers the PTE-level node they lead to, so
+ * every walker of the table -- PageTable::lookup() and the PTE-level
+ * walk behind map()/clear()/setFlags() -- starts at the leaf node.
  *
  * It is purely a host optimization and must never change simulated
  * output:
- *  - entries are tagged with the PageTable's uid and structural
- *    generation, so any interior mutation (munmap of huge ranges,
- *    attach/detach, fork teardown, ASID reuse after table destruction)
- *    silently invalidates them without deref of the stale node;
+ *  - entries are tagged with the table's structural generation
+ *    (PageTable::structureGen()), so any interior mutation (huge
+ *    map/clear, interior flag flips, attach/detach) silently
+ *    invalidates them without deref of the stale node. Installing or
+ *    clearing a huge leaf bumps the generation, so a hit never crosses
+ *    a huge entry;
  *  - leaf PTEs are re-read on every hit, so PTE-level mutations
  *    (4 KB map/clear/permission flips) need no invalidation at all;
  *  - paths through shared file-table fragments are never cached
- *    (PageTable::lookup leaves WalkResult::pteNode null for them).
+ *    (the table leaves WalkResult::pteNode null for them), because
+ *    their owner restructures them without touching this table.
  *
  * The hit/fill counters are host-side diagnostics for tests and stay
  * out of the metrics registry, keeping snapshots bit-identical with
@@ -30,9 +34,9 @@
 #include <array>
 #include <cstdint>
 
-#include "arch/page_table.h"
-
 namespace dax::arch {
+
+struct Node;
 
 class WalkCache
 {
@@ -43,69 +47,34 @@ class WalkCache
     struct Entry
     {
         std::uint64_t tag = ~0ULL; // va >> 21
-        std::uint64_t tableUid = 0;
-        std::uint64_t tableGen = 0;
-        const Node *pteNode = nullptr;
+        std::uint64_t gen = 0;
+        Node *pteNode = nullptr;
+        /** AND of writability across the upper three levels. */
         bool upperWritable = false;
     };
 
-    /** Cached leaf node for @p va in @p pt, or nullptr. */
+    /** Cached path to @p va's leaf table at generation @p gen. */
     const Entry *
-    lookup(const PageTable &pt, std::uint64_t va) const
+    find(std::uint64_t va, std::uint64_t gen)
     {
         const Entry &e = entries_[slot(va)];
-        if (e.pteNode != nullptr && e.tag == va >> 21
-            && e.tableUid == pt.uid() && e.tableGen == pt.structureGen())
-            return &e;
-        return nullptr;
+        if (e.pteNode == nullptr || e.tag != va >> 21 || e.gen != gen)
+            return nullptr;
+        hits_++;
+        return &e;
     }
 
-    /** Capture the upper levels of a completed walk. */
+    /** Remember a completed, wholly private walk to a leaf table. */
     void
-    fill(const PageTable &pt, std::uint64_t va, const WalkResult &walk)
+    fill(std::uint64_t va, std::uint64_t gen, Node *pteNode,
+         bool upperWritable)
     {
-        if (walk.pteNode == nullptr)
-            return; // huge leaf, aborted interior, or shared path
         Entry &e = entries_[slot(va)];
         e.tag = va >> 21;
-        e.tableUid = pt.uid();
-        e.tableGen = pt.structureGen();
-        e.pteNode = walk.pteNode;
-        e.upperWritable = walk.upperWritable;
+        e.gen = gen;
+        e.pteNode = pteNode;
+        e.upperWritable = upperWritable;
         fills_++;
-    }
-
-    /**
-     * Rebuild a WalkResult from a cached path, reading only the leaf
-     * entry. Field-for-field identical to what a full
-     * PageTable::lookup() of the same state returns.
-     */
-    WalkResult
-    walkFrom(const Entry &e, std::uint64_t va)
-    {
-        hits_++;
-        WalkResult res;
-        res.levelsTouched = kLevels;
-        res.pteNode = e.pteNode;
-        res.upperWritable = e.upperWritable;
-        const unsigned idx = levelIndex(va, kPteLevel);
-        const Pte leaf = e.pteNode->entry(idx);
-        if (!pte::present(leaf))
-            return res;
-        res.present = true;
-        res.pageShift = levelShift(kPteLevel);
-        res.paddr = pte::addr(leaf) + (va & (levelSpan(kPteLevel) - 1));
-        res.dram = pte::inDram(leaf);
-        res.leafInDram = e.pteNode->dev->kind() == mem::Kind::Dram;
-        res.leafPteAddr = e.pteNode->frame + idx * sizeof(Pte);
-        res.writable = e.upperWritable && pte::writable(leaf);
-        return res;
-    }
-
-    void
-    flush()
-    {
-        entries_.fill(Entry{});
     }
 
     /** Host-side diagnostics (never exported to metrics). */

@@ -88,8 +88,9 @@ class TlbChecker final : public Checker
             if (sit == spaces.end())
                 continue; // dead address space: unreachable residue
             vm::AddressSpace *as = sit->second;
+            // Uncached walk: never trust the walk cache this polices.
             const arch::WalkResult walk =
-                as->pageTable().lookup(e.vbase);
+                as->pageTable().walkFromRoot(e.vbase);
             const std::uint64_t mask = (1ULL << e.pageShift) - 1;
             const bool matches = walk.present
                               && walk.pageShift == e.pageShift

@@ -4,9 +4,11 @@
  */
 #include "sim/fault.h"
 
+#include <charconv>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/cli.h"
 #include "sim/rng.h"
 
 namespace dax::sim {
@@ -96,33 +98,28 @@ bad(const std::string &what, const std::string &token)
 std::uint64_t
 parseU64(const std::string &v, const std::string &token)
 {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t n = std::stoull(v, &used);
-        if (used != v.size() || v.empty())
-            bad("bad number in", token);
+    std::uint64_t n = 0;
+    if (parseNumber(v, n))
         return n;
-    } catch (const std::invalid_argument &) {
-        bad("bad number in", token);
-    } catch (const std::out_of_range &) {
-        bad("number out of range in", token);
-    }
+    // Only an all-digit string fails by being too large.
+    const bool digits =
+        !v.empty() && v.find_first_not_of("0123456789") == std::string::npos;
+    bad(digits ? "number out of range in" : "bad number in", token);
 }
 
 double
 parseF64(const std::string &v, const std::string &token)
 {
-    try {
-        std::size_t used = 0;
-        const double x = std::stod(v, &used);
-        if (used != v.size() || v.empty())
-            bad("bad real number in", token);
+    double x = 0.0;
+    if (parseNumber(v, x))
         return x;
-    } catch (const std::invalid_argument &) {
-        bad("bad real number in", token);
-    } catch (const std::out_of_range &) {
-        bad("real number out of range in", token);
-    }
+    // Tell overflow ("1e999") from malformed or non-finite input.
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+    bad(ec == std::errc::result_out_of_range && ptr == end
+            ? "real number out of range in"
+            : "bad real number in",
+        token);
 }
 
 FaultEvent

@@ -109,8 +109,7 @@ System::System(const SystemConfig &config)
             "System: simThreads must be 0 or 1 (the engine is "
             "sequential)");
     for (unsigned c = 0; c < config.cores; c++) {
-        mmus_.push_back(std::make_unique<arch::Mmu>(config_.cm,
-                                                    fastPaths));
+        mmus_.push_back(std::make_unique<arch::Mmu>(config_.cm));
         hub_.registerMmu(static_cast<int>(c), mmus_.back().get());
     }
     vmm_ = std::make_unique<vm::VmManager>(config_.cm, hub_, fs_,

@@ -84,7 +84,7 @@ struct SystemConfig
      */
     int checkLevel = 0;
     /**
-     * Host-side fast paths (per-core walk cache, per-process VMA
+     * Host-side fast paths (per-table walk cache, per-process VMA
      * cache). Purely host-time: simulated output is bit-identical
      * either way (docs/performance.md). The escape hatch exists for
      * the golden-equivalence test and for bisecting host-perf issues;

@@ -25,7 +25,8 @@ constexpr std::uint64_t kEphemeralChunk = 1ULL << 30;
 } // namespace
 
 AddressSpace::AddressSpace(VmManager &vmm)
-    : vmm_(vmm), asid_(vmm.nextAsid()), pt_(vmm.dramMeta()),
+    : vmm_(vmm), asid_(vmm.nextAsid()),
+      pt_(vmm.dramMeta(), vmm.hostFastPaths()),
       mmapSem_("mmap_sem", vmm.cm().rwsemWriterAtomics,
                vmm.cm().rwsemReaderAtomics),
       fastPaths_(vmm.hostFastPaths()), vaBump_(kMmapBase)

@@ -197,8 +197,9 @@ class VmManager : public fs::FsHooks
 
     /**
      * Host-side fast-path policy inherited by new address spaces
-     * (last-hit VMA cache). Observationally pure either way; the
-     * escape hatch exists so the golden-equivalence test can prove it.
+     * (page-table walk cache, last-hit VMA cache). Observationally
+     * pure either way; the escape hatch exists so the
+     * golden-equivalence test can prove it.
      */
     bool hostFastPaths() const { return hostFastPaths_; }
     void setHostFastPaths(bool enabled) { hostFastPaths_ = enabled; }

@@ -770,3 +770,69 @@ INSTANTIATE_TEST_SUITE_P(Personalities, DoubleFault,
                                         ? "Ext4Dax"
                                         : "Nova";
                          });
+
+// ---------------------------------------------------------------------
+// Fault-spec parsing (--faults / DAXVM_FAULTS)
+// ---------------------------------------------------------------------
+
+TEST(FaultSpec, SmokeSpecParsesToItsFields)
+{
+    // The media + crash spec the CI smoke run passes to daxsim.
+    sim::FaultSpec spec = sim::parseFaultSpec(
+        "media=seed:5,ue:1e-4,policy:remap-zero;"
+        "crash=kind:journal-commit:2");
+    EXPECT_EQ(spec.policy, "remap-zero");
+    const sim::MediaSpec *media = spec.plan.media();
+    ASSERT_NE(media, nullptr);
+    EXPECT_EQ(media->seed, 5u);
+    EXPECT_EQ(media->backgroundRate, 1e-4);
+    EXPECT_EQ(media->wearScale, 0.0);
+    EXPECT_FALSE(media->poisonTornStore);
+
+    // Armed at the third journal commit (0-based index 2), and only
+    // there: other kinds never fire it.
+    ASSERT_TRUE(spec.plan.armed());
+    spec.plan.onEvent(sim::FaultEvent::DurableStore, 0);
+    spec.plan.onEvent(sim::FaultEvent::JournalCommit, 0);
+    spec.plan.onEvent(sim::FaultEvent::JournalCommit, 0);
+    EXPECT_FALSE(spec.plan.fired());
+    EXPECT_THROW(spec.plan.onEvent(sim::FaultEvent::JournalCommit, 0),
+                 sim::CrashException);
+}
+
+TEST(FaultSpec, NegativeIndexIsRejectedNotWrapped)
+{
+    EXPECT_THROW(sim::parseFaultSpec("crash=index:-1"),
+                 std::invalid_argument);
+    EXPECT_THROW(sim::parseFaultSpec("crash=kind:flush:+3"),
+                 std::invalid_argument);
+}
+
+TEST(FaultSpec, NonFiniteRatesAreRejected)
+{
+    EXPECT_THROW(sim::parseFaultSpec("media=seed:5,ue:nan"),
+                 std::invalid_argument);
+    EXPECT_THROW(sim::parseFaultSpec("media=seed:5,ue:inf"),
+                 std::invalid_argument);
+}
+
+TEST(FaultSpec, ErrorMessagesNameTheProblem)
+{
+    const auto message = [](const std::string &spec) {
+        try {
+            sim::parseFaultSpec(spec);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message("crash=index:x1"),
+              "fault spec: bad number in 'index:x1'");
+    EXPECT_EQ(message("crash=index:99999999999999999999"),
+              "fault spec: number out of range in "
+              "'index:99999999999999999999'");
+    EXPECT_EQ(message("media=ue:0.5x"),
+              "fault spec: bad real number in 'ue:0.5x'");
+    EXPECT_EQ(message("media=wear:1e999"),
+              "fault spec: real number out of range in 'wear:1e999'");
+}

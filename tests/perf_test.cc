@@ -157,23 +157,27 @@ TEST(WalkCache, HitsAfterTlbInvalidateAndMatchesFullWalk)
 {
     ArchFixture f;
     PageTable pt(f.dramFrames);
+    // map() walks the path it builds, so it already fills the cache.
     pt.map(0x1000, 0x5000, kPteLevel, pte::kWrite);
+    EXPECT_EQ(pt.walkCache().fills(), 1u);
+    EXPECT_EQ(pt.walkCache().hits(), 0u);
     Mmu mmu(f.cm);
     MmuPerf perf;
     auto cpu = cpuOn(0);
 
     const auto first = mmu.translate(cpu, pt, 0x1080, false, 1, perf);
     ASSERT_EQ(first.outcome, Mmu::Outcome::Ok);
-    EXPECT_EQ(mmu.walkCache().hits(), 0u);
-    EXPECT_EQ(mmu.walkCache().fills(), 1u);
+    EXPECT_EQ(pt.walkCache().hits(), 1u);
 
-    // Drop the TLB entry but not the walk cache: the repeat walk must
-    // come from the cached path and agree with the full walk.
+    // Drop the TLB entry: the repeat walk comes from the cached path
+    // and agrees with the uncached walk field for field.
     mmu.tlb().invalidatePage(0x1000, 1);
     const auto second = mmu.translate(cpu, pt, 0x1080, false, 1, perf);
     EXPECT_EQ(second.outcome, Mmu::Outcome::Ok);
     EXPECT_EQ(second.paddr, first.paddr);
-    EXPECT_EQ(mmu.walkCache().hits(), 1u);
+    EXPECT_EQ(pt.walkCache().hits(), 2u);
+    EXPECT_EQ(pt.lookup(0x1080), pt.walkFromRoot(0x1080));
+    EXPECT_EQ(pt.walkCache().fills(), 1u);
 }
 
 TEST(WalkCache, MunmapStyleLeafClearIsVisibleWithoutInvalidation)
@@ -187,9 +191,12 @@ TEST(WalkCache, MunmapStyleLeafClearIsVisibleWithoutInvalidation)
     ASSERT_EQ(mmu.translate(cpu, pt, 0x2000, false, 1, perf).outcome,
               Mmu::Outcome::Ok);
 
-    // munmap of a 4 KB page: leaf cleared, INVLPG sent. The walk cache
-    // needs no invalidation because hits re-read the leaf PTE.
-    pt.clear(0x2000, kPteLevel);
+    // munmap of a 4 KB page: leaf cleared, INVLPG sent. clear() starts
+    // at the cached leaf table, and the cache needs no invalidation
+    // because hits re-read the leaf PTE.
+    const std::uint64_t hits = pt.walkCache().hits();
+    EXPECT_NE(pt.clear(0x2000, kPteLevel), 0u);
+    EXPECT_EQ(pt.walkCache().hits(), hits + 1);
     mmu.tlb().invalidatePage(0x2000, 1);
     EXPECT_EQ(mmu.translate(cpu, pt, 0x2000, false, 1, perf).outcome,
               Mmu::Outcome::NotPresent);
@@ -238,7 +245,7 @@ TEST(WalkCache, SharedAttachmentsAreNeverCachedAndDetachIsVisible)
               Mmu::Outcome::Ok);
     // The path runs through a shared node: it must never be cached,
     // because the file table's owner may restructure it underneath.
-    EXPECT_EQ(mmu.walkCache().fills(), 0u);
+    EXPECT_EQ(procPt.walkCache().fills(), 0u);
 
     const std::uint64_t gen1 = procPt.structureGen();
     EXPECT_EQ(procPt.detach(va, kPmdLevel), fileNode);
@@ -246,6 +253,8 @@ TEST(WalkCache, SharedAttachmentsAreNeverCachedAndDetachIsVisible)
     mmu.tlb().invalidatePage(va, 1);
     EXPECT_EQ(mmu.translate(cpu, procPt, va, false, 1, perf).outcome,
               Mmu::Outcome::NotPresent);
+    // Hand the node back to its owner so filePt's teardown frees it.
+    fileNode->shared = false;
 }
 
 TEST(WalkCache, ForkStyleTablesWithSameVaDoNotAlias)
@@ -266,8 +275,8 @@ TEST(WalkCache, ForkStyleTablesWithSameVaDoNotAlias)
     ASSERT_EQ(c1.outcome, Mmu::Outcome::Ok);
     EXPECT_NE(p1.paddr, c1.paddr);
 
-    // Both tables share the direct-mapped slot for this va; the table
-    // uid must keep the entries apart on re-walk.
+    // Both tables use the same direct-mapped slot for this va, but
+    // each table owns its cache, so re-walks cannot alias.
     mmu.tlb().invalidatePage(va, 1);
     mmu.tlb().invalidatePage(va, 2);
     EXPECT_EQ(mmu.translate(cpu, parent, va, false, 1, perf).paddr,
@@ -288,15 +297,446 @@ TEST(WalkCache, TableTeardownNeverLeaksStaleEntries)
     pt1->map(va, 0x30000, kPteLevel, pte::kWrite);
     ASSERT_EQ(mmu.translate(cpu, *pt1, va, false, 1, perf).paddr,
               0x30000u);
-    // ASID teardown: the process dies, its table is destroyed, and a
-    // new process (new table, quite possibly at the same heap address)
-    // reuses the va. The uid tag must prevent a stale cache hit.
+    // ASID teardown: the process dies, its table (and the cache it
+    // owns) is destroyed, and a new process (new table, quite possibly
+    // at the same heap address) reuses the va from an empty cache.
     pt1.reset();
     auto pt2 = std::make_unique<PageTable>(f.dramFrames);
     pt2->map(va, 0x31000, kPteLevel, pte::kWrite);
     mmu.tlb().flush();
     EXPECT_EQ(mmu.translate(cpu, *pt2, va, false, 2, perf).paddr,
               0x31000u);
+}
+
+namespace {
+
+/** 1 GB range a shared file-table PMD node can be attached over. */
+constexpr std::uint64_t kPudRegion = 1ULL << 39;
+/** The PMD slot of that node the file table's owner re-points. */
+constexpr unsigned kSharedSlot = 1;
+
+/** Interior entry pointing at @p child, as a file table writes it. */
+Pte
+tableEntry(const Node &child)
+{
+    return pte::make(child.frame,
+                     pte::kPresent | pte::kWrite | pte::kUser);
+}
+
+/**
+ * Twin page tables, one with the walk cache and one without, built
+ * from twin pools that hand out identical frames. Each twin has its
+ * own DaxVM-style shared file-table nodes: two PTE nodes, and a PMD
+ * node whose kSharedSlot the file table's owner points at either.
+ */
+struct TwinTables
+{
+    sim::CostModel cm;
+    mem::Device dram[2] = {
+        {mem::Kind::Dram, 16ULL << 20, cm, mem::Backing::Sparse},
+        {mem::Kind::Dram, 16ULL << 20, cm, mem::Backing::Sparse}};
+    mem::Device pmem[2] = {
+        {mem::Kind::Pmem, 16ULL << 20, cm, mem::Backing::Sparse},
+        {mem::Kind::Pmem, 16ULL << 20, cm, mem::Backing::Sparse}};
+    mem::FrameAllocator dramFrames[2] = {{dram[0], 0, 16ULL << 20},
+                                         {dram[1], 0, 16ULL << 20}};
+    mem::FrameAllocator pmemFrames[2] = {{pmem[0], 0, 16ULL << 20},
+                                         {pmem[1], 0, 16ULL << 20}};
+    Node file[2];
+    Node otherFile[2];
+    Node filePmd[2];
+    PageTable cached{dramFrames[0], /*walkCache=*/true};
+    PageTable plain{dramFrames[1], /*walkCache=*/false};
+
+    TwinTables()
+    {
+        for (int i = 0; i < 2; i++) {
+            for (Node *n : {&file[i], &otherFile[i], &filePmd[i]}) {
+                n->dev = &pmem[i];
+                n->frames = &pmemFrames[i];
+                n->frame = pmemFrames[i].alloc();
+                n->shared = true;
+            }
+            filePmd[i].child[kSharedSlot] = &file[i];
+            filePmd[i].setEntry(kSharedSlot, tableEntry(file[i]));
+        }
+    }
+};
+
+} // namespace
+
+namespace dax::arch {
+
+void
+PrintTo(const WalkResult &w, std::ostream *os)
+{
+    *os << "{present=" << w.present << " paddr=0x" << std::hex << w.paddr
+        << " leafPteAddr=0x" << w.leafPteAddr << std::dec
+        << " shift=" << w.pageShift << " writable=" << w.writable
+        << " dram=" << w.dram << " leafInDram=" << w.leafInDram
+        << " levels=" << w.levelsTouched << " pteNode=" << w.pteNode
+        << " upperWritable=" << w.upperWritable << "}";
+}
+
+} // namespace dax::arch
+
+TEST(WalkCache, RandomCallsMatchUncachedWalks)
+{
+    // The first three regions, 128 MB apart, share one of the cache's
+    // 64 direct-mapped slots. The last sits under another PGD entry,
+    // where a shared PMD node may be attached, in a slot of its own:
+    // its entries outlive the other regions' probes, so one cached
+    // across the owner's re-pointing would be caught.
+    const std::uint64_t regions[] = {
+        0, 64ULL << 21, 8 * (64ULL << 21),
+        kPudRegion + kSharedSlot * mem::kHugePageSize};
+    constexpr unsigned kPages = 8; // 4 KB pages used per region
+    std::vector<std::uint64_t> probes;
+    for (const std::uint64_t r : regions) {
+        for (unsigned p = 0; p < kPages; p++)
+            probes.push_back(r + p * mem::kPageSize + 0x18);
+        probes.push_back(r + mem::kHugePageSize - 8);
+        probes.push_back(r + mem::kHugePageSize); // never mapped
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t fills = 0;
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        sim::Rng rng(seed);
+        // Short rounds on fresh tables: a PMD-level clear of an
+        // interior entry leaves its region unreachable for good.
+        for (int round = 0; round < 10; round++) {
+            TwinTables t;
+            for (int step = 0; step < 300; step++) {
+                const std::uint64_t region = regions[rng.below(4)];
+                const auto pageIdx =
+                    static_cast<unsigned>(rng.below(kPages));
+                const std::uint64_t page =
+                    region + pageIdx * mem::kPageSize;
+                const bool bit = rng.below(2) == 0;
+                const std::uint64_t pa4k =
+                    (1 + rng.below(4096)) * mem::kPageSize;
+                const std::uint64_t pa2m =
+                    (1 + rng.below(64)) * mem::kHugePageSize;
+                const Pte w = bit ? pte::kWrite : 0;
+                // Mostly PTE-level calls, as in the fault and unmap
+                // paths; interior and attachment calls in between.
+                const auto op = rng.below(19);
+                // One call on table @p i; its result as a number, ~0
+                // when it throws.
+                auto apply = [&](int i) -> std::uint64_t {
+                    PageTable &pt = i == 0 ? t.cached : t.plain;
+                    try {
+                        switch (op) {
+                          case 0:
+                          case 1:
+                          case 2:
+                          case 3:
+                          case 4:
+                            return pt.map(page, pa4k, kPteLevel, w);
+                          case 5:
+                          case 6:
+                          case 7:
+                            return pt.clear(page, kPteLevel);
+                          case 8:
+                            return pt.setFlags(page, kPteLevel, w,
+                                               pte::kWrite & ~w);
+                          case 9:
+                            return pt.map(region, pa2m, kPmdLevel, w);
+                          case 10:
+                            return pt.clear(region, kPmdLevel);
+                          case 11:
+                            return pt.setFlags(region, kPmdLevel, w,
+                                               pte::kWrite & ~w);
+                          case 12:
+                            return pt.attach(region, kPmdLevel,
+                                             &t.file[i], bit);
+                          case 13:
+                            return pt.detach(region, kPmdLevel)
+                                != nullptr;
+                          case 14:
+                            return pt.setAttachmentWritable(
+                                region, kPmdLevel, bit);
+                          case 15:
+                            // Only the last region's 1 GB holds it, and
+                            // that region's slot is never empty, so no
+                            // call grows a node inside the shared PMD.
+                            return pt.attach(kPudRegion, kPudLevel,
+                                             &t.filePmd[i], bit);
+                          case 16:
+                            return pt.detach(kPudRegion, kPudLevel)
+                                != nullptr;
+                          case 17: {
+                            // The file table's owner re-points a PMD
+                            // slot behind the process tables' backs,
+                            // as FileTable does.
+                            Node &pte = bit ? t.file[i] : t.otherFile[i];
+                            t.filePmd[i].child[kSharedSlot] = &pte;
+                            t.filePmd[i].setEntry(kSharedSlot,
+                                                  tableEntry(pte));
+                            return 0;
+                          }
+                          default:
+                            // ...and rewrites a leaf of a shared node.
+                            t.file[i].setEntry(
+                                pageIdx,
+                                bit ? pte::make(pa4k, pte::kPresent
+                                                          | pte::kWrite
+                                                          | pte::kUser)
+                                    : 0);
+                            return 0;
+                        }
+                    } catch (const std::logic_error &) {
+                        return ~0ULL;
+                    }
+                };
+                const std::string where =
+                    "seed " + std::to_string(seed) + " round "
+                    + std::to_string(round) + " step "
+                    + std::to_string(step) + " op " + std::to_string(op);
+                const std::uint64_t got = apply(0);
+                ASSERT_EQ(got, apply(1)) << where;
+                ASSERT_EQ(t.cached.ownedNodes(), t.plain.ownedNodes())
+                    << where;
+                for (const std::uint64_t va : probes) {
+                    const WalkResult fromRoot = t.cached.walkFromRoot(va);
+                    ASSERT_EQ(t.cached.lookup(va), fromRoot)
+                        << where << " va 0x" << std::hex << va;
+                    // The twins own different host nodes; nothing else
+                    // may differ.
+                    WalkResult twin = t.plain.lookup(va);
+                    ASSERT_EQ(twin.pteNode == nullptr,
+                              fromRoot.pteNode == nullptr)
+                        << where;
+                    twin.pteNode = fromRoot.pteNode;
+                    ASSERT_EQ(twin, fromRoot)
+                        << where << " va 0x" << std::hex << va;
+                }
+            }
+            hits += t.cached.walkCache().hits();
+            fills += t.cached.walkCache().fills();
+            EXPECT_EQ(t.plain.walkCache().hits()
+                          + t.plain.walkCache().fills(),
+                      0u);
+        }
+    }
+    // Both the hit and the fill paths were exercised.
+    EXPECT_GT(hits, 10000u);
+    EXPECT_GT(fills, 1000u);
+}
+
+// ---------------------------------------------------------------------
+// TLB huge-array count against the uncounted TLB
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The TLB before it counted its valid huge entries: every probe scans
+ * the whole huge array. Tlb's count may skip work, never change an
+ * answer, an entry or an LRU tick.
+ */
+class RefTlb
+{
+  public:
+    RefTlb(unsigned smallEntries, unsigned smallWays, unsigned hugeEntries)
+        : smallSets_(smallEntries / smallWays), smallWays_(smallWays),
+          small_(smallEntries), huge_(hugeEntries)
+    {
+    }
+
+    const TlbEntry *
+    lookup(std::uint64_t va, Asid asid)
+    {
+        TlbEntry *e = probeSmall(va, asid);
+        if (e == nullptr)
+            e = probeHuge(va, asid);
+        if (e != nullptr)
+            e->lru = lruTick_++;
+        return e;
+    }
+
+    void
+    insert(std::uint64_t va, Asid asid, const WalkResult &walk)
+    {
+        if (TlbEntry *e = probeSmall(va, asid))
+            e->valid = false;
+        if (TlbEntry *e = probeHuge(va, asid))
+            e->valid = false;
+
+        const std::uint64_t mask = (1ULL << walk.pageShift) - 1;
+        TlbEntry entry;
+        entry.valid = true;
+        entry.asid = asid;
+        entry.vbase = va & ~mask;
+        entry.pbase = walk.paddr & ~mask;
+        entry.pageShift = walk.pageShift;
+        entry.writable = walk.writable;
+        entry.dram = walk.dram;
+        entry.lru = lruTick_++;
+
+        TlbEntry *first = &huge_[0];
+        std::size_t ways = huge_.size();
+        if (walk.pageShift == 12) {
+            const unsigned set =
+                static_cast<unsigned>((va >> 12) % smallSets_);
+            first = &small_[set * smallWays_];
+            ways = smallWays_;
+        }
+        TlbEntry *victim = first;
+        for (std::size_t w = 0; w < ways; w++) {
+            TlbEntry &e = first[w];
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lru < victim->lru)
+                victim = &e;
+        }
+        *victim = entry;
+    }
+
+    void
+    invalidatePage(std::uint64_t va, Asid asid)
+    {
+        if (TlbEntry *e = probeSmall(va, asid)) {
+            e->valid = false;
+            invalidations_++;
+        }
+        if (TlbEntry *e = probeHuge(va, asid)) {
+            e->valid = false;
+            invalidations_++;
+        }
+    }
+
+    void
+    flush()
+    {
+        for (auto &e : small_)
+            e.valid = false;
+        for (auto &e : huge_)
+            e.valid = false;
+        invalidations_++;
+    }
+
+    void
+    flushAsid(Asid asid)
+    {
+        for (auto &e : small_) {
+            if (e.asid == asid)
+                e.valid = false;
+        }
+        for (auto &e : huge_) {
+            if (e.asid == asid)
+                e.valid = false;
+        }
+        invalidations_++;
+    }
+
+    std::uint64_t invalidations() const { return invalidations_; }
+    const std::vector<TlbEntry> &smallEntries() const { return small_; }
+    const std::vector<TlbEntry> &hugeEntries() const { return huge_; }
+
+  private:
+    TlbEntry *
+    probeSmall(std::uint64_t va, Asid asid)
+    {
+        const unsigned set = static_cast<unsigned>((va >> 12) % smallSets_);
+        for (unsigned w = 0; w < smallWays_; w++) {
+            TlbEntry &e = small_[set * smallWays_ + w];
+            if (e.valid && e.asid == asid && e.pageShift == 12
+                && e.vbase == (va & ~0xfffULL))
+                return &e;
+        }
+        return nullptr;
+    }
+
+    TlbEntry *
+    probeHuge(std::uint64_t va, Asid asid)
+    {
+        for (auto &e : huge_) {
+            if (!e.valid || e.asid != asid)
+                continue;
+            const std::uint64_t mask = (1ULL << e.pageShift) - 1;
+            if (e.vbase == (va & ~mask))
+                return &e;
+        }
+        return nullptr;
+    }
+
+    unsigned smallSets_;
+    unsigned smallWays_;
+    std::vector<TlbEntry> small_;
+    std::vector<TlbEntry> huge_;
+    std::uint64_t lruTick_ = 1;
+    std::uint64_t invalidations_ = 0;
+};
+
+/** Position of @p e in a TLB's arrays (small first), -1 for a miss. */
+template <typename T>
+long
+slotOf(const T &tlb, const TlbEntry *e)
+{
+    if (e == nullptr)
+        return -1;
+    const auto &small = tlb.smallEntries();
+    if (e >= small.data() && e < small.data() + small.size())
+        return e - small.data();
+    return static_cast<long>(small.size()) + (e - tlb.hugeEntries().data());
+}
+
+} // namespace
+
+TEST(TlbFastPath, HugeCountMatchesReferenceTlb)
+{
+    struct Geometry
+    {
+        unsigned small, ways, huge;
+    };
+    // Default Cascade Lake shape, then a tiny one that evicts often.
+    for (const Geometry g : {Geometry{1536, 4, 32}, Geometry{64, 4, 4}}) {
+        Tlb tlb(g.small, g.ways, g.huge);
+        RefTlb ref(g.small, g.ways, g.huge);
+        sim::Rng rng(g.small);
+        for (int step = 0; step < 50000; step++) {
+            const Asid asid = 1 + static_cast<Asid>(rng.below(3));
+            // Three 1 GB regions; pages spill across 2 MB boundaries.
+            const std::uint64_t va = (rng.below(3) << 30)
+                                   + rng.below(2048) * mem::kPageSize
+                                   + rng.below(mem::kPageSize);
+            const auto op = rng.below(32);
+            const std::string where = "tlb " + std::to_string(g.small)
+                                    + " step " + std::to_string(step)
+                                    + " op " + std::to_string(op);
+            if (op < 12) {
+                WalkResult walk;
+                walk.present = true;
+                const auto kind = rng.below(8);
+                walk.pageShift = kind < 5 ? 12 : kind < 7 ? 21 : 30;
+                walk.paddr = rng.below(1ULL << 40);
+                walk.writable = rng.below(2) == 0;
+                walk.dram = rng.below(2) == 0;
+                tlb.insert(va, asid, walk);
+                ref.insert(va, asid, walk);
+            } else if (op < 22) {
+                const TlbEntry *got = tlb.lookup(va, asid);
+                const TlbEntry *want = ref.lookup(va, asid);
+                ASSERT_EQ(slotOf(tlb, got), slotOf(ref, want)) << where;
+            } else if (op < 30) {
+                tlb.invalidatePage(va, asid);
+                ref.invalidatePage(va, asid);
+            } else if (op == 30) {
+                tlb.flushAsid(asid);
+                ref.flushAsid(asid);
+            } else if (rng.below(4) == 0) {
+                tlb.flush();
+                ref.flush();
+            }
+            ASSERT_EQ(tlb.invalidations(), ref.invalidations()) << where;
+            ASSERT_TRUE(tlb.smallEntries() == ref.smallEntries()) << where;
+            ASSERT_TRUE(tlb.hugeEntries() == ref.hugeEntries()) << where;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
