@@ -304,6 +304,14 @@ FileTableManager::imageChecksum(const PersistentImage &img)
 }
 
 void
+FileTableManager::beginUpdate(const fs::Inode &inode)
+{
+    auto it = images_.find(inode.ino);
+    if (it != images_.end())
+        it->second.midUpdate = true;
+}
+
+void
 FileTableManager::updateImage(const fs::Inode &inode, bool persistent)
 {
     if (!persistent) {
@@ -312,16 +320,40 @@ FileTableManager::updateImage(const fs::Inode &inode, bool persistent)
     }
     PersistentImage &img = images_[inode.ino];
     // The update window opens before any table line reaches the
-    // medium: a crash inside it leaves the image torn (midUpdate set,
-    // content stale) and attach-time validation falls back to a
-    // rebuild from the extent tree.
+    // medium (the hooks' beginUpdate(); a fresh image had nothing to
+    // tear before this point): a crash inside it leaves the image
+    // torn (midUpdate set, content stale) and attach-time validation
+    // falls back to a rebuild from the extent tree.
     img.midUpdate = true;
     if (plan_ != nullptr)
         plan_->onEvent(sim::FaultEvent::TableUpdate, /*now=*/0);
-    img.extents.assign(inode.extents.begin(), inode.extents.end());
     img.generation++;
-    img.checksum = imageChecksum(img);
+    img.sealed = false;
     img.midUpdate = false;
+}
+
+void
+FileTableManager::seal(fs::Ino ino, PersistentImage &img) const
+{
+    // A torn image is rebuilt whatever it holds.
+    if (img.sealed || img.midUpdate)
+        return;
+    if (fs_.exists(ino)) {
+        const auto &extents = fs_.inode(ino).extents;
+        img.extents.assign(extents.begin(), extents.end());
+    } else {
+        // Unlinked: the last update saw freeAll() empty the map.
+        img.extents.clear();
+    }
+    img.checksum = imageChecksum(img);
+    img.sealed = true;
+}
+
+void
+FileTableManager::sealImages()
+{
+    for (auto &[ino, img] : images_)
+        seal(ino, img);
 }
 
 TableRecovery
@@ -348,7 +380,7 @@ FileTableManager::recoverAll()
         // Validate: sealed (not mid-update), checksum over generation
         // + layout intact, and the layout matches the committed
         // extent tree the journal recovered.
-        bool valid = !img.midUpdate
+        bool valid = !img.midUpdate && img.sealed
                      && imageChecksum(img) == img.checksum
                      && img.extents.size() == node.extents.size();
         if (valid) {
@@ -443,6 +475,8 @@ FileTableManager::onBlocksAllocated(sim::Cpu &cpu, fs::Inode &inode,
         t = fresh.get();
         inode.priv = std::move(fresh);
     }
+    // Populating below may allocate (and durably zero) table frames.
+    beginUpdate(inode);
     const bool wantPersistent = persistentPolicy(inode);
     if (t->table == nullptr) {
         auto &frames = wantPersistent ? pmemFrames_ : dramFrames_;
@@ -474,14 +508,18 @@ FileTableManager::onBlocksFreeing(sim::Cpu &cpu, fs::Inode &inode,
                                   std::uint64_t fileBlock,
                                   const fs::Extent &extent)
 {
+    auto *t = dynamic_cast<InodeTables *>(inode.priv.get());
+    const bool hasTable = t != nullptr && t->table != nullptr;
+    if (hasTable)
+        beginUpdate(inode);
+
     // Storage reclamation: force synchronous unmapping of DaxVM
     // mappings of this file before the blocks can be reused
     // (paper Section IV-C, file system races).
     if (forceUnmap_ != nullptr)
         forceUnmap_(forceUnmapCtx_, cpu, inode.ino);
 
-    auto *t = dynamic_cast<InodeTables *>(inode.priv.get());
-    if (t == nullptr || t->table == nullptr)
+    if (!hasTable)
         return;
     t->table->clearRange(&cpu, fileBlock, extent.count);
     if (t->dramMirror != nullptr)
@@ -499,6 +537,7 @@ FileTableManager::onBlocksRemapped(sim::Cpu &cpu, fs::Inode &inode,
     auto *t = dynamic_cast<InodeTables *>(inode.priv.get());
     if (t == nullptr || t->table == nullptr)
         return; // no table yet: nothing attaches the retired block
+    beginUpdate(inode);
     // O(1) repair: swap the translation in the shared table instead
     // of force-unmapping the whole file. The extent tree already
     // carries the replacement when this hook fires. A huge-mapped

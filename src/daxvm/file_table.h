@@ -132,15 +132,25 @@ struct InodeTables : public fs::InodePrivate
 /**
  * Durable representation of one persistent file table: the extent
  * layout it encodes, sealed by a checksum and a generation tag. The
- * midUpdate flag models the update window - set before a table write
- * starts, cleared after the seal; a crash inside the window leaves a
- * torn image that attach-time validation rejects (rebuild fallback).
+ * midUpdate flag models the update window - set before the first
+ * table write of an update, cleared when the update completes; a
+ * crash inside the window leaves a torn image that attach-time
+ * validation rejects (rebuild fallback).
+ *
+ * A completed update only bumps the generation and marks the image
+ * unsealed. The layout copy and its checksum are taken when something
+ * reads the image (FileTableManager::sealImages(), imageOf()): every
+ * extent-map change is followed by a table hook that opens the next
+ * window before any persistence boundary, so the live extent map at a
+ * crash is exactly the layout the last completed update wrote.
  */
 struct PersistentImage
 {
     std::uint64_t generation = 0;
     std::uint64_t checksum = 0;
     bool midUpdate = false;
+    /** extents and checksum describe the current generation. */
+    bool sealed = false;
     /** (fileBlock, extent) pairs in file order. */
     std::vector<std::pair<std::uint64_t, fs::Extent>> extents;
 };
@@ -182,19 +192,36 @@ class FileTableManager : public fs::FsHooks
     void setFaultPlan(sim::FaultPlan *plan) { plan_ = plan; }
 
     /**
+     * Seal every unsealed image that is not mid-update: copy its
+     * inode's live extent map and checksum it. Must run while the
+     * extent maps are the pre-crash ones, i.e. before
+     * FileSystem::recover() replaces them. Untimed; a no-op when
+     * every image is sealed.
+     */
+    void sealImages();
+
+    /**
      * Post-crash attach of every surviving persistent table: validate
      * its durable image (checksum, generation, not mid-update, layout
      * matches the recovered extent tree) and re-instantiate the
      * table; torn or stale images fall back to a rebuild from the
-     * extent tree. Call after FileSystem::recover(). Untimed.
+     * extent tree. Call after sealImages() and
+     * FileSystem::recover(). Untimed.
      */
     TableRecovery recoverAll();
 
-    /** Durable image of @p ino's table (nullptr when volatile). */
-    const PersistentImage *imageOf(fs::Ino ino) const
+    /** Checksum over @p img's generation and layout (FNV-1a). */
+    static std::uint64_t imageChecksum(const PersistentImage &img);
+
+    /** Durable image of @p ino's table, sealed (nullptr when volatile). */
+    const PersistentImage *
+    imageOf(fs::Ino ino)
     {
         auto it = images_.find(ino);
-        return it == images_.end() ? nullptr : &it->second;
+        if (it == images_.end())
+            return nullptr;
+        seal(it->first, it->second);
+        return &it->second;
     }
 
     // FsHooks ----------------------------------------------------------
@@ -258,12 +285,19 @@ class FileTableManager : public fs::FsHooks
     void buildFromExtents(sim::Cpu *cpu, fs::Inode &inode,
                           InodeTables &tables);
     /**
-     * Re-seal @p inode's durable table image after an update (or drop
-     * it when the table is volatile). Fires a TableUpdate fault point
-     * inside the un-sealed window.
+     * Open @p inode's update window before a hook's first table write
+     * (no-op when the table has no durable image yet).
+     */
+    void beginUpdate(const fs::Inode &inode);
+    /**
+     * Complete an update of @p inode's durable table image: fire a
+     * TableUpdate fault point inside the window, bump the generation,
+     * mark the image unsealed and close the window (or drop the image
+     * when the table is volatile). O(1): sealing is deferred.
      */
     void updateImage(const fs::Inode &inode, bool persistent);
-    static std::uint64_t imageChecksum(const PersistentImage &img);
+    /** Copy @p ino's live layout into @p img and checksum it. */
+    void seal(fs::Ino ino, PersistentImage &img) const;
 
     fs::FileSystem &fs_;
     mem::FrameAllocator &dramFrames_;

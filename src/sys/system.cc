@@ -319,6 +319,10 @@ CrashReport
 System::crash()
 {
     CrashReport report;
+    // Seal the persistent table images first, while the extent maps
+    // are still the ones their last completed updates described.
+    if (ftm_ != nullptr)
+        ftm_->sealImages();
     // The zeroed pool's *blocks* are durable (zeroes on the medium)
     // but the pool membership is volatile: snapshot it so recover()
     // can re-verify and readmit.
@@ -337,6 +341,9 @@ RecoverReport
 System::recover()
 {
     RecoverReport report;
+    // No-op after crash(): recovery replaces the extent maps below.
+    if (ftm_ != nullptr)
+        ftm_->sealImages();
     report.fs = fs_.recover();
     if (ftm_ != nullptr)
         report.tables = ftm_->recoverAll();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "fs/file_system.h"
 #include "mem/device.h"
 #include "sim/fault.h"
+#include "sim/rng.h"
 #include "sys/system.h"
 
 using namespace dax;
@@ -432,6 +434,228 @@ TEST(TableRecovery, DroppedWithItsInode)
     EXPECT_GE(rec.tables.dropped, 1u);
     EXPECT_FALSE(system.fs().lookupPath("/f").has_value());
 }
+
+// ---------------------------------------------------------------------
+// Table-update windows and lazily sealed images
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Records an inode's extent map on every table hook. Registered after
+ * the FileTableManager, it sees the layout that hook's update left:
+ * the one an eagerly re-sealed image would hold.
+ */
+class LayoutRecorder : public fs::FsHooks
+{
+  public:
+    using Layout = std::vector<std::pair<std::uint64_t, fs::Extent>>;
+
+    void
+    onBlocksAllocated(sim::Cpu &, fs::Inode &inode, std::uint64_t,
+                      const fs::Extent &) override
+    {
+        record(inode);
+    }
+    void
+    onBlocksFreeing(sim::Cpu &, fs::Inode &inode, std::uint64_t,
+                    const fs::Extent &) override
+    {
+        record(inode);
+    }
+    void
+    onBlocksRemapped(sim::Cpu &, fs::Inode &inode, std::uint64_t,
+                     const fs::Extent &, const fs::Extent &) override
+    {
+        record(inode);
+    }
+    void onInodeEvict(fs::Inode &) override {}
+
+    /** Last recorded layout per inode. */
+    std::map<fs::Ino, Layout> last;
+
+  private:
+    void
+    record(const fs::Inode &inode)
+    {
+        last[inode.ino].assign(inode.extents.begin(), inode.extents.end());
+    }
+};
+
+/**
+ * Seeded persistent-table churn: appends across 2 MB chunk
+ * boundaries, a multi-extent fallocate on a fragmented image,
+ * truncates and an unlink.
+ */
+struct ImageChurn
+{
+    explicit ImageChurn(fs::Personality personality)
+        : system(smallConfig(personality))
+    {
+        system.fs().addHooks(&layouts);
+        a = system.makeFile("/a", (2ULL << 20) - 2 * fs::kBlockSize);
+        b = system.makeFile("/b", (4ULL << 20) - 3 * fs::kBlockSize);
+        // Leave 8-block holes between small survivors.
+        sim::Cpu cpu(nullptr, 0, 0);
+        for (int i = 0; i < 16; i++)
+            system.makeFile("/s" + std::to_string(i), 8 * fs::kBlockSize);
+        for (int i = 1; i < 16; i += 2)
+            system.fs().unlink(cpu, "/s" + std::to_string(i));
+        system.prezeroDaemon()->drainUntimed();
+    }
+
+    ~ImageChurn()
+    {
+        system.setFaultPlan(nullptr);
+        system.fs().removeHooks(&layouts);
+    }
+
+    /** Throws sim::CrashException when @p plan fires. */
+    void
+    run(sim::FaultPlan &plan, std::uint64_t seed)
+    {
+        system.setFaultPlan(&plan);
+        sim::Rng rng(seed);
+        sim::Cpu cpu(nullptr, 0, 0);
+        std::vector<std::uint8_t> buf(4 * fs::kBlockSize, 0x5c);
+        for (int i = 0; i < 6; i++) {
+            const fs::Ino ino = rng.below(2) == 0 ? a : b;
+            const std::uint64_t off = system.fs().inode(ino).size;
+            const std::uint64_t len = (1 + rng.below(4)) * fs::kBlockSize;
+            if (off >> 21 != (off + len - 1) >> 21)
+                chunkCrossings++;
+            system.fs().write(cpu, ino, off, buf.data(), len);
+            if (rng.below(2) == 0)
+                system.fs().fsync(cpu, ino);
+        }
+        const fs::Ino c = system.fs().create(cpu, "/c");
+        system.fs().fallocate(cpu, c, 0, 64 * fs::kBlockSize);
+        fallocExtents = system.fs().inode(c).extents.size();
+        system.fs().fsync(cpu, c);
+        system.fs().ftruncate(cpu, b, (1 + rng.below(2)) << 20);
+        system.fs().ftruncate(cpu, c,
+                              (8 + rng.below(40)) * fs::kBlockSize);
+        system.fs().unlink(cpu, "/a");
+    }
+
+    sys::System system;
+    LayoutRecorder layouts;
+    fs::Ino a = 0;
+    fs::Ino b = 0;
+    std::uint64_t chunkCrossings = 0;
+    std::size_t fallocExtents = 0;
+};
+
+} // namespace
+
+class TableImage : public ::testing::TestWithParam<fs::Personality>
+{};
+
+TEST_P(TableImage, CrashAtTablePageZeroingTearsTheImage)
+{
+    // Appending one block at 2 MB gives the file's table a PTE page
+    // for chunk 1, and zeroing that page is a durable store. The
+    // update window must already be open there, so the image is torn
+    // and recovery rebuilds it instead of validating the old layout.
+    // Crash at the first durable store after the extent map grew past
+    // 512 blocks (ext4-DAX zeroes the new data block before that).
+    for (std::uint64_t n = 0; n < 8; n++) {
+        sys::System system(smallConfig(GetParam()));
+        const fs::Ino ino = system.makeFile("/f", 2ULL << 20);
+        sim::FaultPlan plan =
+            sim::FaultPlan::atKind(sim::FaultEvent::DurableStore, n);
+        system.setFaultPlan(&plan);
+        sim::Cpu cpu(nullptr, 0, 0);
+        std::vector<std::uint8_t> block(fs::kBlockSize, 0x42);
+        try {
+            system.fs().write(cpu, ino, 2ULL << 20, block.data(),
+                              block.size());
+        } catch (const sim::CrashException &) {
+        }
+        system.setFaultPlan(nullptr);
+        ASSERT_TRUE(plan.fired()) << "no durable store after the append";
+        if (system.fs().inode(ino).allocatedBlocks() <= 512)
+            continue;
+
+        const auto *img = system.fileTables()->imageOf(ino);
+        ASSERT_NE(img, nullptr);
+        EXPECT_TRUE(img->midUpdate);
+
+        system.crash();
+        const auto rec = system.recover();
+        EXPECT_EQ(rec.tables.validated, 0u);
+        EXPECT_EQ(rec.tables.rebuilt, 1u);
+        EXPECT_EQ(rec.tables.dropped, 0u);
+        // The uncommitted append rolled back; the rebuilt table maps
+        // the recovered 2 MB and nothing of chunk 1.
+        EXPECT_EQ(system.fs().inode(ino).allocatedBlocks(), 512u);
+        const daxvm::FileTable &table =
+            *system.fileTables()->tables(nullptr, ino).table;
+        EXPECT_EQ(table.pteNode(1), nullptr);
+        EXPECT_EQ(table.hugeEntry(1), 0u);
+        EXPECT_TRUE(system.fs().fsck().empty());
+        return;
+    }
+    FAIL() << "the append made no durable store inside its table update";
+}
+
+TEST_P(TableImage, SealedImageIsLastCompletedLayoutAtEveryCrashPoint)
+{
+    // Images are sealed at crash time from the live extent maps. That
+    // equals sealing at every update only if no persistence boundary
+    // fires between an extent-map change and the table hook opening
+    // its window. Check it at every crash point of a seeded churn.
+    constexpr std::uint64_t kSeed = 4242;
+    std::uint64_t compared = 0;
+    auto check = [&](ImageChurn &churn, const std::string &where) {
+        churn.system.crash();
+        auto *ftm = churn.system.fileTables();
+        for (const auto &[ino, layout] : churn.layouts.last) {
+            const daxvm::PersistentImage *img = ftm->imageOf(ino);
+            if (img == nullptr || img->midUpdate)
+                continue; // no image, or torn: rebuilt on recovery
+            compared++;
+            EXPECT_TRUE(img->extents == layout)
+                << where << ": ino " << ino << " sealed "
+                << img->extents.size() << " extents, last update saw "
+                << layout.size();
+            EXPECT_EQ(img->checksum,
+                      daxvm::FileTableManager::imageChecksum(*img))
+                << where << ": ino " << ino;
+        }
+        churn.system.recover();
+        EXPECT_TRUE(churn.system.fs().fsck().empty()) << where;
+    };
+
+    sim::FaultPlan counter;
+    std::uint64_t total = 0;
+    {
+        ImageChurn churn(GetParam());
+        churn.run(counter, kSeed);
+        total = counter.eventsSeen();
+        EXPECT_GT(churn.chunkCrossings, 0u);
+        EXPECT_GT(churn.fallocExtents, 1u);
+        check(churn, "end of run");
+    }
+    ASSERT_GT(total, 0u);
+    for (std::uint64_t k = 0; k < total; k++) {
+        ImageChurn churn(GetParam());
+        sim::FaultPlan plan = sim::FaultPlan::atIndex(k);
+        EXPECT_THROW(churn.run(plan, kSeed), sim::CrashException)
+            << "crash@" << k;
+        check(churn, "crash@" + std::to_string(k));
+    }
+    EXPECT_GT(compared, total);
+}
+
+INSTANTIATE_TEST_SUITE_P(Personalities, TableImage,
+                         ::testing::Values(fs::Personality::Ext4Dax,
+                                           fs::Personality::Nova),
+                         [](const auto &info) {
+                             return info.param == fs::Personality::Ext4Dax
+                                        ? "Ext4Dax"
+                                        : "Nova";
+                         });
 
 // ---------------------------------------------------------------------
 // Prezero pool re-verification

@@ -44,8 +44,13 @@ struct SweepConfig
     std::uint64_t seed = 42;
     std::uint64_t ops = 60;
     unsigned files = 3;
-    /** Above volatileTableMax, so DaxVM tables are persistent. */
-    std::uint64_t fileBytes = 256ULL << 10;
+    /**
+     * Above volatileTableMax, so DaxVM tables are persistent, and two
+     * blocks short of a 2 MB chunk: a file's third append allocates
+     * the table's PTE page for chunk 1, a persistence boundary inside
+     * the table-update window.
+     */
+    std::uint64_t fileBytes = (2ULL << 20) - 2 * fs::kBlockSize;
     unsigned slotsPerFile = 64;
     bool verbose = false;
 };
@@ -387,8 +392,9 @@ class Harness
  * One full sweep over every event index for one fs personality.
  * Every failing scenario is appended to @p failures; the sweep keeps
  * going so one bad crash point cannot mask the rest of the matrix.
+ * Returns what table recovery did, summed over the crash points.
  */
-void
+daxvm::TableRecovery
 sweep(const SweepConfig &cfg, fs::Personality personality,
       std::vector<ScenarioFailure> &failures)
 {
@@ -433,6 +439,7 @@ sweep(const SweepConfig &cfg, fs::Personality personality,
             sim::FaultEvent::PrezeroRelease));
 
     int violations = 0;
+    daxvm::TableRecovery tables;
     for (std::uint64_t k = 0; k < total; k++) {
         Harness h(cfg, personality);
         sim::FaultPlan plan = sim::FaultPlan::atIndex(k);
@@ -454,7 +461,10 @@ sweep(const SweepConfig &cfg, fs::Personality personality,
             continue;
         }
         h.system().crash();
-        h.system().recover();
+        const auto rec = h.system().recover();
+        tables.validated += rec.tables.validated;
+        tables.rebuilt += rec.tables.rebuilt;
+        tables.dropped += rec.tables.dropped;
         const auto v = h.verify();
         for (const auto &viol : v) {
             std::fprintf(stderr, "[%s] crash@%llu (%s): %s\n", label,
@@ -473,6 +483,7 @@ sweep(const SweepConfig &cfg, fs::Personality personality,
     }
     std::printf("[%s] swept %llu crash points: %d violation(s)\n", label,
                 (unsigned long long)total, violations);
+    return tables;
 }
 
 } // namespace
@@ -515,10 +526,22 @@ main(int argc, char **argv)
     }
 
     std::vector<ScenarioFailure> failures;
-    if (fsArg == "ext4" || fsArg == "both")
-        sweep(cfg, fs::Personality::Ext4Dax, failures);
-    if (fsArg == "nova" || fsArg == "both")
-        sweep(cfg, fs::Personality::Nova, failures);
+    std::vector<std::pair<const char *, daxvm::TableRecovery>> tables;
+    if (fsArg == "ext4" || fsArg == "both") {
+        tables.emplace_back(
+            "ext4-dax", sweep(cfg, fs::Personality::Ext4Dax, failures));
+    }
+    if (fsArg == "nova" || fsArg == "both") {
+        tables.emplace_back(
+            "nova", sweep(cfg, fs::Personality::Nova, failures));
+    }
+    for (const auto &[label, t] : tables) {
+        std::printf("[%s] table recovery over all crash points: "
+                    "%llu validated, %llu rebuilt, %llu dropped\n",
+                    label, (unsigned long long)t.validated,
+                    (unsigned long long)t.rebuilt,
+                    (unsigned long long)t.dropped);
+    }
 
     int total = 0;
     if (!failures.empty()) {
