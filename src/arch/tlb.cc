@@ -8,7 +8,7 @@ namespace dax::arch {
 
 Tlb::Tlb(unsigned smallEntries, unsigned smallWays, unsigned hugeEntries)
     : smallSets_(smallEntries / smallWays), smallWays_(smallWays),
-      small_(smallEntries), huge_(hugeEntries)
+      small_(smallEntries), huge_(hugeEntries), listed_(smallEntries)
 {
 }
 
@@ -91,6 +91,11 @@ Tlb::insert(std::uint64_t va, Asid asid, const WalkResult &walk)
                 victim = &e;
         }
         *victim = entry;
+        const auto slot = static_cast<unsigned>(victim - small_.data());
+        if (!listed_[slot]) {
+            listed_[slot] = true;
+            live_.push_back(slot);
+        }
     } else {
         TlbEntry *victim = &huge_[0];
         for (auto &e : huge_) {
@@ -124,8 +129,11 @@ Tlb::invalidatePage(std::uint64_t va, Asid asid)
 void
 Tlb::flush()
 {
-    for (auto &e : small_)
-        e.valid = false;
+    for (const unsigned slot : live_) {
+        small_[slot].valid = false;
+        listed_[slot] = false;
+    }
+    live_.clear();
     for (auto &e : huge_)
         e.valid = false;
     hugeValid_ = 0;
@@ -135,11 +143,22 @@ Tlb::flush()
 void
 Tlb::flushAsid(Asid asid)
 {
-    for (auto &e : small_) {
+    // Unlisted slots are invalid already, so only listed ones can
+    // match; compact away every slot that is invalid afterwards.
+    std::size_t kept = 0;
+    for (const unsigned slot : live_) {
+        TlbEntry &e = small_[slot];
         if (e.asid == asid)
             e.valid = false;
+        if (e.valid)
+            live_[kept++] = slot;
+        else
+            listed_[slot] = false;
     }
+    live_.resize(kept);
     for (auto &e : huge_) {
+        if (hugeValid_ == 0)
+            break;
         if (e.valid && e.asid == asid) {
             e.valid = false;
             hugeValid_--;

@@ -70,6 +70,12 @@ class Tlb
     const std::vector<TlbEntry> &smallEntries() const { return small_; }
     const std::vector<TlbEntry> &hugeEntries() const { return huge_; }
 
+    /**
+     * Indices into smallEntries() that may hold a valid entry, each at
+     * most once; every valid small entry is listed. For tests.
+     */
+    const std::vector<unsigned> &liveSmallSlots() const { return live_; }
+
   private:
     TlbEntry *probeSmall(std::uint64_t va, Asid asid);
     TlbEntry *probeHuge(std::uint64_t va, Asid asid);
@@ -78,6 +84,14 @@ class Tlb
     unsigned smallWays_;
     std::vector<TlbEntry> small_; // sets x ways
     std::vector<TlbEntry> huge_;  // fully associative
+    /**
+     * Small slots that may be valid (live_) and whether each slot is
+     * listed (listed_), so flushes visit live entries instead of the
+     * whole array. Host-side only: kept out of TlbEntry so the raw
+     * arrays stay exactly what the model computes.
+     */
+    std::vector<unsigned> live_;
+    std::vector<bool> listed_;
     /**
      * Valid entries in huge_, so probes skip the scan when there are
      * none (most INVLPGs on 4 KB workloads). Host-side only.

@@ -4,6 +4,7 @@
  */
 #include "daxvm/file_table.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "arch/pte.h"
@@ -487,11 +488,21 @@ FileTableManager::onBlocksAllocated(sim::Cpu &cpu, fs::Inode &inode,
         // (rebuild in PMem frames, charged as flushed writes).
         auto persisted = std::make_unique<FileTable>(
             pmemFrames_, /*persistent=*/true, cm_);
+        // Exclude the blocks being added, populated below: extendTo
+        // may have merged them into the tail extent.
+        const std::uint64_t addedEnd = fileBlock + extent.count;
         for (const auto &[fb, e] : inode.extents) {
-            // Exclude the extent being added; it is populated below.
-            if (fb == fileBlock && e == extent)
-                continue;
-            persisted->populate(&cpu, fb, e, fs_.blockAddr(0));
+            const std::uint64_t end = fb + e.count;
+            if (fb < fileBlock) {
+                const std::uint64_t n = std::min(end, fileBlock) - fb;
+                persisted->populate(&cpu, fb, {e.block, n},
+                                    fs_.blockAddr(0));
+            }
+            if (end > addedEnd) {
+                const std::uint64_t s = std::max(fb, addedEnd);
+                persisted->populate(&cpu, s, {e.block + (s - fb), end - s},
+                                    fs_.blockAddr(0));
+            }
         }
         t->table = std::move(persisted);
     }

@@ -214,6 +214,40 @@ TEST(FileTables, PersistentUpdateChargesFlushes)
     EXPECT_GT(persist.now(), volat.now());
 }
 
+TEST(FileTables, PersistingAMergedTailPopulatesEachBlockOnce)
+{
+    // A file with a volatile table grows past the policy threshold,
+    // and extendTo has merged the new blocks into the tail extent
+    // when the hook fires. The persistent rebuild must charge what
+    // one build from the final extent map charges.
+    Fixture f;
+    sim::Cpu cpu(nullptr, 0, 0);
+    fs::FileSystem &fs = f.system.fs();
+    const fs::Ino ino = fs.create(cpu, "/grow");
+    fs.fallocate(cpu, ino, 0, 32 * 1024); // 8 blocks: volatile table
+    fs::Inode &node = fs.inode(ino);
+    ASSERT_EQ(node.extents.size(), 1u);
+    fs::Extent &tail = node.extents.begin()->second;
+
+    // Grow by 8 contiguous blocks as extendTo does: merge, then hook.
+    const std::vector<fs::Extent> got =
+        fs.allocator().alloc(8, tail.endBlock());
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(got[0].block, tail.endBlock());
+    tail.count += got[0].count;
+    node.allocatedCount += got[0].count;
+    sim::Cpu rebuild(nullptr, 0, 0);
+    f.system.fileTables()->onBlocksAllocated(rebuild, node, 8, got[0]);
+    auto &tables = f.system.fileTables()->tables(&cpu, ino);
+    ASSERT_TRUE(tables.table->persistent());
+
+    // One build from the final extent map, on a fresh clock.
+    tables.table.reset();
+    sim::Cpu single(nullptr, 0, 0);
+    f.system.fileTables()->tables(&single, ino);
+    EXPECT_EQ(rebuild.now(), single.now());
+}
+
 // ---------------------------------------------------------------------
 // daxvm_mmap semantics
 // ---------------------------------------------------------------------

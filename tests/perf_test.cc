@@ -5,7 +5,8 @@
  * simulated output with SystemConfig::hostFastPaths on vs off), unit
  * tests for every invalidation edge the caches depend on (munmap,
  * mprotect, attach/detach, fork-style table duplication, table
- * teardown/ASID reuse), and a randomized cross-check of the
+ * teardown/ASID reuse), the TLB's huge count and live-slot list
+ * against a plain TLB, and a randomized cross-check of the
  * open-addressed FlatHash64 against std::unordered_map.
  */
 #include <gtest/gtest.h>
@@ -526,15 +527,16 @@ TEST(WalkCache, RandomCallsMatchUncachedWalks)
 }
 
 // ---------------------------------------------------------------------
-// TLB huge-array count against the uncounted TLB
+// TLB fast paths against the plain TLB
 // ---------------------------------------------------------------------
 
 namespace {
 
 /**
- * The TLB before it counted its valid huge entries: every probe scans
- * the whole huge array. Tlb's count may skip work, never change an
- * answer, an entry or an LRU tick.
+ * The TLB without host-side bookkeeping: every probe scans the whole
+ * huge array and every flush the whole of both arrays. Tlb's huge
+ * count and live-slot list may skip work, never change an answer, an
+ * entry or an LRU tick.
  */
 class RefTlb
 {
@@ -672,6 +674,28 @@ class RefTlb
     std::uint64_t invalidations_ = 0;
 };
 
+/**
+ * Empty when every valid small entry of @p tlb is on its live-slot
+ * list exactly once and no slot is listed twice; else the first
+ * problem found.
+ */
+std::string
+liveListProblem(const Tlb &tlb)
+{
+    const auto &small = tlb.smallEntries();
+    std::vector<unsigned> listed(small.size());
+    for (const unsigned slot : tlb.liveSmallSlots()) {
+        if (slot >= small.size() || listed[slot]++ != 0)
+            return "slot " + std::to_string(slot)
+                 + " out of range or listed twice";
+    }
+    for (std::size_t slot = 0; slot < small.size(); slot++) {
+        if (small[slot].valid && listed[slot] == 0)
+            return "valid slot " + std::to_string(slot) + " not listed";
+    }
+    return "";
+}
+
 /** Position of @p e in a TLB's arrays (small first), -1 for a miss. */
 template <typename T>
 long
@@ -689,23 +713,30 @@ slotOf(const T &tlb, const TlbEntry *e)
 
 TEST(TlbFastPath, HugeCountMatchesReferenceTlb)
 {
-    struct Geometry
+    struct Phase
     {
         unsigned small, ways, huge;
+        bool flushHeavy; // 1 in 4 calls is an ASID or full flush
     };
-    // Default Cascade Lake shape, then a tiny one that evicts often.
-    for (const Geometry g : {Geometry{1536, 4, 32}, Geometry{64, 4, 4}}) {
+    // Default Cascade Lake shape, then a tiny one that evicts often,
+    // then the tiny one flushing often, so the live-slot list is
+    // compacted and its slots are reused.
+    for (const Phase g : {Phase{1536, 4, 32, false}, Phase{64, 4, 4, false},
+                          Phase{64, 4, 4, true}}) {
         Tlb tlb(g.small, g.ways, g.huge);
         RefTlb ref(g.small, g.ways, g.huge);
-        sim::Rng rng(g.small);
+        sim::Rng rng(g.small + (g.flushHeavy ? 1 : 0));
         for (int step = 0; step < 50000; step++) {
             const Asid asid = 1 + static_cast<Asid>(rng.below(3));
             // Three 1 GB regions; pages spill across 2 MB boundaries.
             const std::uint64_t va = (rng.below(3) << 30)
                                    + rng.below(2048) * mem::kPageSize
                                    + rng.below(mem::kPageSize);
-            const auto op = rng.below(32);
+            const auto op = !g.flushHeavy      ? rng.below(32)
+                          : rng.below(4) == 0 ? 30 + rng.below(2)
+                                              : rng.below(30);
             const std::string where = "tlb " + std::to_string(g.small)
+                                    + (g.flushHeavy ? " flushing" : "")
                                     + " step " + std::to_string(step)
                                     + " op " + std::to_string(op);
             if (op < 12) {
@@ -728,13 +759,14 @@ TEST(TlbFastPath, HugeCountMatchesReferenceTlb)
             } else if (op == 30) {
                 tlb.flushAsid(asid);
                 ref.flushAsid(asid);
-            } else if (rng.below(4) == 0) {
+            } else if (g.flushHeavy || rng.below(4) == 0) {
                 tlb.flush();
                 ref.flush();
             }
             ASSERT_EQ(tlb.invalidations(), ref.invalidations()) << where;
             ASSERT_TRUE(tlb.smallEntries() == ref.smallEntries()) << where;
             ASSERT_TRUE(tlb.hugeEntries() == ref.hugeEntries()) << where;
+            ASSERT_EQ(liveListProblem(tlb), "") << where;
         }
     }
 }
