@@ -2,8 +2,8 @@
  * @file
  * Fragmentation over time: replay Geriatrix-style create/delete churn
  * at 70% utilization for growing churn volumes (1x..8x of capacity)
- * under both block-allocator policies, and chart how free space decays
- * into fragments.
+ * and chart how first-fit block allocation's free space decays into
+ * fragments.
  *
  * Deterministic figures (virtual state, bit-reproducible): free-extent
  * count, huge-aligned free fraction, largest free extent, huge-aligned
@@ -12,13 +12,9 @@
  * alloc probe on the aged image) go to the JSON "host" section, which
  * the determinism comparators strip (tools/check_sweep lists this
  * bench as wall-clock for that reason).
- *
- * Acceptance tie-in (docs/performance.md): under the segregated
- * policy the alloc p99 must stay within 2x as churn grows 1x -> 8x.
  */
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
 #include "bench/common.h"
@@ -30,7 +26,7 @@ using namespace dax::bench;
 
 namespace {
 
-struct PolicyPoint
+struct ChurnPoint
 {
     std::uint64_t freeExtents = 0;
     double hugeFreeFraction = 0.0;
@@ -144,100 +140,82 @@ int
 main(int argc, char **argv)
 {
     init(argc, argv, "fig_aging_frag");
-    // The figure compares explicit per-series policies; an inherited
-    // DAXVM_ALLOC override would silently collapse both series onto
-    // one policy, so drop it for this process.
-    unsetenv("DAXVM_ALLOC");
     note("Fragmentation over time: churn volume sweep at 70% "
-         "utilization, first-fit vs segregated block allocation");
+         "utilization, first-fit block allocation");
     note("image: 1GB pmem; churn profile: Agrawal sizes, "
          "watermarks 0.52/0.92; probes restore allocator state");
     setSeed(42);
 
     const std::vector<double> churns = {1.0, 2.0, 4.0, 8.0};
-    const std::vector<
-        std::pair<std::string, fs::AllocPolicy>>
-        policies = {
-            {"first-fit", fs::AllocPolicy::FirstFit},
-            {"segregated", fs::AllocPolicy::Segregated},
-        };
 
     std::vector<std::string> xs;
-    std::vector<std::vector<PolicyPoint>> points(
-        policies.size(), std::vector<PolicyPoint>(churns.size()));
+    std::vector<ChurnPoint> points(churns.size());
 
     for (std::size_t ci = 0; ci < churns.size(); ci++) {
         char label[16];
         std::snprintf(label, sizeof(label), "%.0fx", churns[ci]);
         xs.push_back(label);
-        for (std::size_t pi = 0; pi < policies.size(); pi++) {
-            sys::SystemConfig config = benchConfig(1ULL << 30);
-            config.prezero = false;
-            config.blockAllocPolicy = policies[pi].second;
-            sys::System system(config);
+        sys::SystemConfig config = benchConfig(1ULL << 30);
+        config.prezero = false;
+        sys::System system(config);
 
-            fs::AgingConfig aging;
-            aging.churnFactor = churns[ci];
-            const auto report = system.age(aging);
-            note(policies[pi].first + " " + label + ": "
-                 + report.toString());
+        fs::AgingConfig aging;
+        aging.churnFactor = churns[ci];
+        const auto report = system.age(aging);
+        note(std::string("first-fit ") + label + ": "
+             + report.toString());
 
-            fs::BlockAllocator &alloc = system.fs().allocator();
-            PolicyPoint &pt = points[pi][ci];
-            pt.freeExtents = report.freeExtents;
-            pt.hugeFreeFraction = report.hugeAlignedFreeFraction;
-            pt.largestFreeMb =
-                static_cast<double>(report.largestFreeExtentBlocks)
-                * fs::kBlockSize / (1024.0 * 1024);
-            pt.hugeSuccessPct = hugeSuccessProbe(alloc);
-            sim::Rng rng(1000 + ci * 10 + pi);
-            pt.extentsPer4Mb = extentsPerAllocProbe(alloc, rng);
-            allocLatencyProbe(alloc, rng, pt.allocP50Ns,
-                              pt.allocP99Ns);
-            record(system);
-        }
+        fs::BlockAllocator &alloc = system.fs().allocator();
+        ChurnPoint &pt = points[ci];
+        pt.freeExtents = report.freeExtents;
+        pt.hugeFreeFraction = report.hugeAlignedFreeFraction;
+        pt.largestFreeMb =
+            static_cast<double>(report.largestFreeExtentBlocks)
+            * fs::kBlockSize / (1024.0 * 1024);
+        pt.hugeSuccessPct = hugeSuccessProbe(alloc);
+        sim::Rng rng(1000 + ci * 10);
+        pt.extentsPer4Mb = extentsPerAllocProbe(alloc, rng);
+        allocLatencyProbe(alloc, rng, pt.allocP50Ns, pt.allocP99Ns);
+        record(system);
     }
 
+    // One series per figure, named for the allocator it measures.
     auto series = [&](auto get) {
-        std::vector<Series> out;
-        for (std::size_t pi = 0; pi < policies.size(); pi++) {
-            Series s;
-            s.name = policies[pi].first;
-            for (std::size_t ci = 0; ci < churns.size(); ci++)
-                s.values.push_back(get(points[pi][ci]));
-            out.push_back(std::move(s));
-        }
-        return out;
+        Series s;
+        s.name = "first-fit";
+        for (const ChurnPoint &p : points)
+            s.values.push_back(get(p));
+        return std::vector<Series>{std::move(s)};
     };
 
     printFigure("Free extents after aging", "churn", xs,
-                series([](const PolicyPoint &p) {
+                series([](const ChurnPoint &p) {
                     return static_cast<double>(p.freeExtents);
                 }),
                 "%12.0f");
     printFigure("Huge-aligned free fraction", "churn", xs,
-                series([](const PolicyPoint &p) {
+                series([](const ChurnPoint &p) {
                     return p.hugeFreeFraction;
                 }),
                 "%12.4f");
     printFigure("Largest free extent (MB)", "churn", xs,
-                series([](const PolicyPoint &p) {
+                series([](const ChurnPoint &p) {
                     return p.largestFreeMb;
                 }));
     printFigure("Huge-aligned alloc success (%)", "churn", xs,
-                series([](const PolicyPoint &p) {
+                series([](const ChurnPoint &p) {
                     return p.hugeSuccessPct;
                 }));
     printFigure("Extents per 4 MB alloc", "churn", xs,
-                series([](const PolicyPoint &p) {
+                series([](const ChurnPoint &p) {
                     return p.extentsPer4Mb;
                 }));
     printHostFigure("Alloc latency p50 (ns)", "churn", xs,
-                    series([](const PolicyPoint &p) {
+                    series([](const ChurnPoint &p) {
                         return p.allocP50Ns;
                     }));
     printHostFigure("Alloc latency p99 (ns)", "churn", xs,
-                    series([](const PolicyPoint &p) {
+                    series([](const ChurnPoint &p) {
                         return p.allocP99Ns;
                     }));
     return bench::finish();

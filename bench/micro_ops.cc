@@ -119,17 +119,15 @@ BENCHMARK(BM_DeviceFlushLoop);
 constexpr std::uint64_t kAgedBlocks = 1ULL << 17;
 
 /**
- * Steady-state alloc/free churn on an aged image. Both policies replay
- * the *same* logical op sequence: fill to ~85% with small variable
- * allocations, churn free/alloc pairs until free space is shredded
- * into thousands of extents, then measure one free + one goal-directed
- * alloc per iteration. The first-fit policy walks its free map per
- * alloc here; the segregated policy stays O(1).
+ * Steady-state alloc/free churn on an aged image: fill to ~85% with
+ * small variable allocations, churn free/alloc pairs until free space
+ * is shredded into thousands of extents, then measure one free + one
+ * goal-directed first-fit alloc per iteration.
  */
 void
-runBlockAllocAged(benchmark::State &state, fs::AllocPolicy policy)
+BM_BlockAllocAged(benchmark::State &state)
 {
-    fs::BlockAllocator alloc(kAgedBlocks, 0, policy);
+    fs::BlockAllocator alloc(kAgedBlocks, 0);
     std::vector<std::vector<fs::Extent>> held;
     sim::Rng rng(1234);
 
@@ -168,28 +166,15 @@ runBlockAllocAged(benchmark::State &state, fs::AllocPolicy policy)
     state.counters["free_extents"] =
         static_cast<double>(alloc.freeExtents());
 }
+BENCHMARK(BM_BlockAllocAged);
 
-void
-BM_BlockAllocAgedSegregated(benchmark::State &state)
-{
-    runBlockAllocAged(state, fs::AllocPolicy::Segregated);
-}
-BENCHMARK(BM_BlockAllocAgedSegregated);
-
-void
-BM_BlockAllocAgedFirstFit(benchmark::State &state)
-{
-    runBlockAllocAged(state, fs::AllocPolicy::FirstFit);
-}
-BENCHMARK(BM_BlockAllocAgedFirstFit);
-
-/** Frame-churn region: 1 GB (262144 frames, 512 chunks of 2 MB). */
+/** Frame-churn region: 1 GB (262144 frames). */
 constexpr std::uint64_t kFrameRegion = 1ULL << 30;
 
 /**
- * Metadata frame churn at 50% occupancy under the Buddy policy (two
- * word-scans over chunk bitmaps): free a random held frame, allocate
- * a replacement, which zeroes it through the Device.
+ * Metadata frame churn at 50% occupancy: free a random held frame,
+ * allocate a replacement (the LIFO free list hands it straight back),
+ * which zeroes it through the Device.
  */
 void
 BM_FrameAllocChurn(benchmark::State &state)
@@ -197,8 +182,7 @@ BM_FrameAllocChurn(benchmark::State &state)
     sim::CostModel cm;
     mem::Device dram(mem::Kind::Dram, kFrameRegion, cm,
                      mem::Backing::Sparse);
-    mem::FrameAllocator frames(dram, 0, kFrameRegion,
-                               mem::FramePolicy::Buddy);
+    mem::FrameAllocator frames(dram, 0, kFrameRegion);
     const std::uint64_t totalFrames = kFrameRegion / mem::kPageSize;
     std::vector<mem::Paddr> held;
     held.reserve(totalFrames / 2);

@@ -9,16 +9,12 @@
 
 namespace dax::fs {
 
-BlockAllocator::BlockAllocator(std::uint64_t nBlocks, std::uint64_t baseAddr,
-                               AllocPolicy policy)
-    : totalBlocks_(nBlocks), baseAddr_(baseAddr), policy_(policy)
+BlockAllocator::BlockAllocator(std::uint64_t nBlocks, std::uint64_t baseAddr)
+    : totalBlocks_(nBlocks), baseAddr_(baseAddr)
 {
     if (nBlocks == 0)
         throw std::invalid_argument("allocator needs blocks");
-    if (policy_ == AllocPolicy::Segregated)
-        seg_ = std::make_unique<SegregatedPool>(nBlocks);
-    else
-        freeMap_.emplace(0, nBlocks);
+    freeMap_.emplace(0, nBlocks);
     freeBlocks_ = nBlocks;
 }
 
@@ -139,15 +135,6 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
 }
 
 std::vector<Extent>
-BlockAllocator::carveSeg(std::uint64_t count, bool hugeAligned)
-{
-    auto out = seg_->carve(count, hugeAligned);
-    if (!out.empty())
-        freeBlocks_ -= count; // all-or-nothing by contract
-    return out;
-}
-
-std::vector<Extent>
 BlockAllocator::alloc(std::uint64_t count, std::uint64_t goal,
                       std::vector<bool> *zeroed, bool preferHugeAligned)
 {
@@ -174,10 +161,8 @@ BlockAllocator::alloc(std::uint64_t count, std::uint64_t goal,
     }
     const std::uint64_t rest = count - fromZeroed;
     if (rest > 0) {
-        auto f = seg_ != nullptr
-            ? carveSeg(rest, preferHugeAligned && rest >= kBlocksPerHuge)
-            : carve(freeMap_, rest, goal, freeBlocks_,
-                    preferHugeAligned && rest >= kBlocksPerHuge);
+        auto f = carve(freeMap_, rest, goal, freeBlocks_,
+                       preferHugeAligned && rest >= kBlocksPerHuge);
         if (f.empty()) {
             // Roll back the zeroed part.
             for (std::size_t i = 0; i < out.size(); i++) {
@@ -207,10 +192,7 @@ BlockAllocator::free(const Extent &extent, int core, sim::Time now)
         divertedBlocks_ += extent.count;
         return; // DaxVM prezero path owns the blocks now
     }
-    if (seg_ != nullptr)
-        seg_->insert(extent.block, extent.count);
-    else
-        insertFree(freeMap_, extent);
+    insertFree(freeMap_, extent);
     freeBlocks_ += extent.count;
 }
 
@@ -280,12 +262,8 @@ BlockAllocator::removeRange(ExtentMap &map, std::uint64_t start,
 std::uint64_t
 BlockAllocator::rebuildFrom(const std::vector<Extent> &allocated)
 {
-    if (seg_ != nullptr) {
-        seg_->reset();
-    } else {
-        freeMap_.clear();
-        freeMap_.emplace(0, totalBlocks_);
-    }
+    freeMap_.clear();
+    freeMap_.emplace(0, totalBlocks_);
     freeBlocks_ = totalBlocks_;
     zeroedMap_.clear();
     zeroedBlocks_ = 0;
@@ -301,9 +279,8 @@ BlockAllocator::rebuildFrom(const std::vector<Extent> &allocated)
             conflicts += e.count;
             continue;
         }
-        const std::uint64_t removed = seg_ != nullptr
-            ? seg_->removeRange(e.block, e.count)
-            : removeRange(freeMap_, e.block, e.count);
+        const std::uint64_t removed =
+            removeRange(freeMap_, e.block, e.count);
         freeBlocks_ -= removed;
         conflicts += e.count - removed;
     }
@@ -316,9 +293,7 @@ BlockAllocator::rebuildRetired(const std::vector<Extent> &retired)
     for (const auto &e : retired) {
         if (e.count == 0 || e.endBlock() > totalBlocks_)
             continue;
-        freeBlocks_ -= seg_ != nullptr
-            ? seg_->removeRange(e.block, e.count)
-            : removeRange(freeMap_, e.block, e.count);
+        freeBlocks_ -= removeRange(freeMap_, e.block, e.count);
         insertFree(retiredMap_, e);
         retiredBlocks_ += e.count;
     }
@@ -331,34 +306,19 @@ BlockAllocator::promoteZeroed(const Extent &extent)
         return true;
     if (extent.endBlock() > totalBlocks_)
         return false;
-    if (seg_ != nullptr) {
-        if (!seg_->isRangeFree(extent.block, extent.count))
-            return false;
-        seg_->removeRange(extent.block, extent.count);
-    } else {
-        // Require full coverage by a single free run (the free map is
-        // coalesced, so a fully-free range is always one run).
-        auto it = freeMap_.upper_bound(extent.block);
-        if (it == freeMap_.begin())
-            return false;
-        --it;
-        if (it->first + it->second < extent.endBlock())
-            return false;
-        removeRange(freeMap_, extent.block, extent.count);
-    }
+    // Require full coverage by a single free run (the free map is
+    // coalesced, so a fully-free range is always one run).
+    auto it = freeMap_.upper_bound(extent.block);
+    if (it == freeMap_.begin())
+        return false;
+    --it;
+    if (it->first + it->second < extent.endBlock())
+        return false;
+    removeRange(freeMap_, extent.block, extent.count);
     freeBlocks_ -= extent.count;
     insertFree(zeroedMap_, extent);
     zeroedBlocks_ += extent.count;
     return true;
-}
-
-const ExtentMap &
-BlockAllocator::freeMap() const
-{
-    if (seg_ == nullptr)
-        return freeMap_;
-    seg_->materialize(segView_);
-    return segView_;
 }
 
 std::vector<Extent>
@@ -401,16 +361,7 @@ BlockAllocator::check() const
                                + std::to_string(counter) + " != map sum "
                                + std::to_string(sum));
     };
-    // Under the segregated policy, audit the pool's own structures
-    // first, then run the generic audits on the materialized view so
-    // coalescing/range/counter invariants are proven either way.
-    const ExtentMap &freeView = freeMap();
-    if (seg_ != nullptr) {
-        auto segProblems = seg_->check();
-        problems.insert(problems.end(), segProblems.begin(),
-                        segProblems.end());
-    }
-    audit("freeMap", freeView, freeBlocks_);
+    audit("freeMap", freeMap_, freeBlocks_);
     audit("zeroedMap", zeroedMap_, zeroedBlocks_);
     audit("retiredMap", retiredMap_, retiredBlocks_);
 
@@ -432,8 +383,8 @@ BlockAllocator::check() const
                                    + otherName);
         }
     };
-    overlapsMap("zeroed", zeroedMap_, freeView, "free map");
-    overlapsMap("retired", retiredMap_, freeView, "free map");
+    overlapsMap("zeroed", zeroedMap_, freeMap_, "free map");
+    overlapsMap("retired", retiredMap_, freeMap_, "free map");
     overlapsMap("retired", retiredMap_, zeroedMap_, "zeroed map");
 
     if (freeBlocks_ + zeroedBlocks_ + divertedBlocks_ + retiredBlocks_
@@ -446,8 +397,6 @@ BlockAllocator::check() const
 std::uint64_t
 BlockAllocator::largestFreeExtent() const
 {
-    if (seg_ != nullptr)
-        return seg_->largestRun();
     std::uint64_t best = 0;
     for (const auto &[start, len] : freeMap_) {
         (void)start;
@@ -462,10 +411,6 @@ BlockAllocator::hugeAlignedFreeFraction() const
 {
     if (freeBlocks_ == 0)
         return 0.0;
-    if (seg_ != nullptr) {
-        return static_cast<double>(seg_->hugeAlignedBlocks())
-             / static_cast<double>(freeBlocks_);
-    }
     std::uint64_t hugeBlocks = 0;
     for (const auto &[start, len] : freeMap_) {
         const std::uint64_t alignedStart =

@@ -16,13 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "fs/extent.h"
-#include "fs/seg_pool.h"
 #include "sim/time.h"
 
 namespace dax::sim {
@@ -30,28 +28,6 @@ class Cpu;
 }
 
 namespace dax::fs {
-
-/**
- * Free-space strategy for the data-block allocator
- * (docs/performance.md "Allocator strategies").
- *
- *  - FirstFit (default): goal-directed first-fit scan over the ordered
- *    extent map. Placement matches ext4's goal heuristic; cost grows
- *    with the free-extent count on an aged image.
- *  - Segregated: power-of-two size-class bins with an occupancy
- *    bitmap (fs/seg_pool.h). O(1) expected alloc/free with immediate
- *    address-ordered coalescing; the goal hint is ignored (placement
- *    is size-directed), so block placement may differ from FirstFit
- *    while file contents and recovery images stay identical.
- *
- * Selected by SystemConfig::blockAllocPolicy or the DAXVM_ALLOC
- * environment knob.
- */
-enum class AllocPolicy
-{
-    FirstFit,
-    Segregated,
-};
 
 /** Receives freed extents for asynchronous zeroing (DaxVM). */
 class PrezeroSink
@@ -88,11 +64,7 @@ class BlockAllocator
 {
   public:
     /** Manage blocks [0, nBlocks); block 0 maps to @p baseAddr bytes. */
-    BlockAllocator(std::uint64_t nBlocks, std::uint64_t baseAddr,
-                   AllocPolicy policy = AllocPolicy::FirstFit);
-
-    /** The free-space strategy this allocator was built with. */
-    AllocPolicy policy() const { return policy_; }
+    BlockAllocator(std::uint64_t nBlocks, std::uint64_t baseAddr);
 
     /**
      * Allocate @p count blocks near @p goal (block number hint).
@@ -181,19 +153,11 @@ class BlockAllocator
     /** Blocks permanently retired for media errors. */
     std::uint64_t retiredBlocks() const { return retiredBlocks_; }
     std::uint64_t totalBlocks() const { return totalBlocks_; }
-    std::uint64_t
-    freeExtents() const
-    {
-        return seg_ != nullptr ? seg_->runCount() : freeMap_.size();
-    }
+    std::uint64_t freeExtents() const { return freeMap_.size(); }
     std::uint64_t largestFreeExtent() const;
 
-    /**
-     * Free map (start block -> length), for invariant checkers. Under
-     * the segregated policy this is a sorted view materialized from
-     * the pool on each call - cold-path only.
-     */
-    const ExtentMap &freeMap() const;
+    /** Free map (start block -> length), for invariant checkers. */
+    const ExtentMap &freeMap() const { return freeMap_; }
 
     /** Retired pool (start block -> length), for invariant checkers. */
     const ExtentMap &retiredMap() const { return retiredMap_; }
@@ -211,8 +175,6 @@ class BlockAllocator
     std::vector<Extent> carve(ExtentMap &map, std::uint64_t count,
                               std::uint64_t goal, std::uint64_t &pool,
                               bool hugeAligned);
-    /** Segregated-policy carve from seg_ (all-or-nothing). */
-    std::vector<Extent> carveSeg(std::uint64_t count, bool hugeAligned);
     void insertFree(ExtentMap &map, const Extent &extent);
     /** Remove [start, start+count) from @p map; @return blocks removed. */
     static std::uint64_t removeRange(ExtentMap &map, std::uint64_t start,
@@ -220,12 +182,7 @@ class BlockAllocator
 
     std::uint64_t totalBlocks_;
     std::uint64_t baseAddr_;
-    AllocPolicy policy_;
-    /** Segregated free pool; null under the first-fit policy. */
-    std::unique_ptr<SegregatedPool> seg_;
-    /** Sorted view of seg_ materialized by freeMap() (cold path). */
-    mutable ExtentMap segView_;
-    /** start block -> length (blocks), coalesced (first-fit policy). */
+    /** start block -> length (blocks), coalesced. */
     ExtentMap freeMap_;
     /** pre-zeroed extents ready for zero-demanding allocations. */
     ExtentMap zeroedMap_;

@@ -16,14 +16,13 @@ namespace dax::fs {
 FileSystem::FileSystem(Personality personality, mem::Device &pmem,
                        std::uint64_t dataBase, std::uint64_t dataBytes,
                        const sim::CostModel &cm,
-                       sim::MetricsRegistry *metrics,
-                       AllocPolicy allocPolicy)
+                       sim::MetricsRegistry *metrics)
     : pmem_(pmem), cm_(cm),
       ownedMetrics_(metrics != nullptr
                         ? nullptr
                         : std::make_unique<sim::MetricsRegistry>()),
       metrics_(metrics != nullptr ? metrics : ownedMetrics_.get()),
-      alloc_(dataBytes / kBlockSize, dataBase, allocPolicy),
+      alloc_(dataBytes / kBlockSize, dataBase),
       journal_(personality, cm)
 {
     if (dataBase % kBlockSize != 0 || dataBytes % kBlockSize != 0)

@@ -141,14 +141,11 @@ class FileSystem
     /**
      * @param metrics shared telemetry registry; when null (standalone
      *        tests) the file system owns a private one
-     * @param allocPolicy free-space strategy for the data-block
-     *        allocator (docs/performance.md "Allocator strategies")
      */
     FileSystem(Personality personality, mem::Device &pmem,
                std::uint64_t dataBase, std::uint64_t dataBytes,
                const sim::CostModel &cm,
-               sim::MetricsRegistry *metrics = nullptr,
-               AllocPolicy allocPolicy = AllocPolicy::FirstFit);
+               sim::MetricsRegistry *metrics = nullptr);
 
     Personality personality() const { return journal_.personality(); }
 

@@ -4,31 +4,19 @@
  */
 #include "mem/frame_alloc.h"
 
-#include <algorithm>
-#include <bit>
 #include <new>
 #include <stdexcept>
 
 namespace dax::mem {
 
-FrameAllocator::FrameAllocator(Device &dev, Paddr base, std::uint64_t size,
-                               FramePolicy policy)
-    : dev_(dev), base_(base), policy_(policy),
-      totalFrames_(size / kPageSize)
+FrameAllocator::FrameAllocator(Device &dev, Paddr base, std::uint64_t size)
+    : dev_(dev), base_(base), totalFrames_(size / kPageSize)
 {
     if (base % kPageSize != 0 || size % kPageSize != 0)
         throw std::invalid_argument("frame region not page aligned");
     if (base + size > dev.capacity())
         throw std::invalid_argument("frame region exceeds device");
     allocBits_.assign((totalFrames_ + 63) / 64, 0);
-    if (policy_ == FramePolicy::Buddy) {
-        numChunks_ = (totalFrames_ + kChunkFrames - 1) / kChunkFrames;
-        chunkUsed_.assign(numChunks_, 0);
-        partialBits_.assign((numChunks_ + 63) / 64, 0);
-        freeChunkBits_.assign((numChunks_ + 63) / 64, 0);
-        for (std::uint64_t c = 0; c < numChunks_; c++)
-            freeChunkBits_[c >> 6] |= 1ULL << (c & 63);
-    }
 }
 
 void
@@ -44,73 +32,10 @@ FrameAllocator::markFree(std::uint64_t idx)
 }
 
 Paddr
-FrameAllocator::allocBuddy()
-{
-    // Lowest-index partial chunk first: concentrate damage in chunks
-    // that are already broken, keeping fully-free 2 MB runs intact.
-    std::uint64_t chunk = numChunks_;
-    for (std::size_t w = 0; w < partialBits_.size(); w++) {
-        if (partialBits_[w] != 0) {
-            chunk = (static_cast<std::uint64_t>(w) << 6)
-                + static_cast<std::uint64_t>(
-                      std::countr_zero(partialBits_[w]));
-            break;
-        }
-    }
-    if (chunk == numChunks_) {
-        for (std::size_t w = 0; w < freeChunkBits_.size(); w++) {
-            if (freeChunkBits_[w] != 0) {
-                chunk = (static_cast<std::uint64_t>(w) << 6)
-                    + static_cast<std::uint64_t>(
-                          std::countr_zero(freeChunkBits_[w]));
-                break;
-            }
-        }
-    }
-    if (chunk >= numChunks_)
-        throw std::bad_alloc();
-
-    // Lowest free frame within the chunk (at most 8 word reads).
-    const std::uint64_t firstFrame = chunk * kChunkFrames;
-    const std::uint64_t chunkEnd =
-        std::min(firstFrame + kChunkFrames, totalFrames_);
-    std::uint64_t idx = chunkEnd;
-    for (std::uint64_t w = firstFrame >> 6; w < (chunkEnd + 63) / 64;
-         w++) {
-        std::uint64_t inv = ~allocBits_[w];
-        // Bits past the region end are vacuously clear; mask them off
-        // so the tail chunk never hands out a frame outside [0,total).
-        const std::uint64_t wordBase = w << 6;
-        if (wordBase + 64 > chunkEnd)
-            inv &= (1ULL << (chunkEnd - wordBase)) - 1;
-        if (inv != 0) {
-            idx = wordBase
-                + static_cast<std::uint64_t>(std::countr_zero(inv));
-            break;
-        }
-    }
-    if (idx >= chunkEnd)
-        throw std::bad_alloc(); // unreachable: chunk was not full
-
-    const std::uint32_t size =
-        static_cast<std::uint32_t>(chunkEnd - firstFrame);
-    const std::uint32_t used = ++chunkUsed_[chunk];
-    if (used == 1)
-        freeChunkBits_[chunk >> 6] &= ~(1ULL << (chunk & 63));
-    if (used < size)
-        partialBits_[chunk >> 6] |= 1ULL << (chunk & 63);
-    else
-        partialBits_[chunk >> 6] &= ~(1ULL << (chunk & 63));
-    return base_ + idx * kPageSize;
-}
-
-Paddr
 FrameAllocator::alloc()
 {
     Paddr frame;
-    if (policy_ == FramePolicy::Buddy) {
-        frame = allocBuddy();
-    } else if (!freeList_.empty()) {
+    if (!freeList_.empty()) {
         frame = freeList_.back();
         freeList_.pop_back();
     } else if (bump_ < totalFrames_) {
@@ -137,44 +62,7 @@ FrameAllocator::free(Paddr frame)
         throw std::logic_error("double free of frame");
     markFree(idx);
     allocated_--;
-    if (policy_ == FramePolicy::Buddy) {
-        const std::uint64_t chunk = idx / kChunkFrames;
-        const std::uint64_t firstFrame = chunk * kChunkFrames;
-        const std::uint32_t size = static_cast<std::uint32_t>(
-            std::min(firstFrame + kChunkFrames, totalFrames_)
-            - firstFrame);
-        const std::uint32_t used = --chunkUsed_[chunk];
-        if (used == 0) {
-            partialBits_[chunk >> 6] &= ~(1ULL << (chunk & 63));
-            freeChunkBits_[chunk >> 6] |= 1ULL << (chunk & 63);
-        } else if (used == size - 1) {
-            partialBits_[chunk >> 6] |= 1ULL << (chunk & 63);
-        }
-    } else {
-        freeList_.push_back(frame);
-    }
-}
-
-std::uint64_t
-FrameAllocator::fullyFreeChunks() const
-{
-    // Policy-independent: derived from the per-frame bitmap so Lifo
-    // and Buddy report through the same lens (only full 2 MB chunks
-    // count; a short tail chunk is never huge-mappable).
-    std::uint64_t freeChunks = 0;
-    const std::uint64_t fullChunks = totalFrames_ / kChunkFrames;
-    for (std::uint64_t c = 0; c < fullChunks; c++) {
-        bool clean = true;
-        for (std::uint64_t w = (c * kChunkFrames) >> 6;
-             w < ((c + 1) * kChunkFrames) >> 6; w++) {
-            if (allocBits_[w] != 0) {
-                clean = false;
-                break;
-            }
-        }
-        freeChunks += clean ? 1 : 0;
-    }
-    return freeChunks;
+    freeList_.push_back(frame);
 }
 
 } // namespace dax::mem

@@ -5,24 +5,13 @@
  *
  * File *data* blocks are managed by the file system's extent allocator
  * (fs/block_alloc.h); this allocator hands out single 4 KB frames from
- * a dedicated region of a device.
+ * a dedicated region of a device: a bump pointer plus a LIFO free
+ * list, O(1) and cache-warm.
  *
- * Two strategies (SystemConfig::framePolicy / DAXVM_ALLOC):
- *
- *  - Lifo (default): bump pointer plus a LIFO free list. O(1) and
- *    cache-warm, but recycling scatters frames so fully-free 2 MB
- *    runs are destroyed quickly.
- *  - Buddy: frames are grouped into 2 MB chunks (512 frames). New
- *    allocations prefer already-broken (partial) chunks - lowest
- *    chunk index, lowest frame index, found by word-scan over two
- *    chunk-state bitmaps - so fully-free chunks stay intact for as
- *    long as possible and huge-page promotion / the prezero pool stop
- *    fighting the free list. Still O(1) per operation.
- *
- * Both strategies track a per-frame allocated bitmap, so freeing the
- * same frame twice throws instead of corrupting the free list with a
- * duplicate (which the old outstanding-count check missed whenever
- * any other frame was still allocated).
+ * A per-frame allocated bitmap makes freeing the same frame twice
+ * throw instead of corrupting the free list with a duplicate (which
+ * an outstanding-count check misses whenever any other frame is still
+ * allocated).
  */
 #pragma once
 
@@ -33,13 +22,6 @@
 
 namespace dax::mem {
 
-/** Frame-recycling strategy (see file comment). */
-enum class FramePolicy
-{
-    Lifo,
-    Buddy,
-};
-
 class FrameAllocator
 {
   public:
@@ -48,8 +30,7 @@ class FrameAllocator
      * @param base region start (page aligned)
      * @param size region size in bytes (page aligned)
      */
-    FrameAllocator(Device &dev, Paddr base, std::uint64_t size,
-                   FramePolicy policy = FramePolicy::Lifo);
+    FrameAllocator(Device &dev, Paddr base, std::uint64_t size);
 
     /** Allocate one zeroed 4 KB frame. @throws std::bad_alloc on OOM. */
     Paddr alloc();
@@ -68,23 +49,9 @@ class FrameAllocator
     /** Total frames managed. */
     std::uint64_t total() const { return totalFrames_; }
 
-    /** The recycling strategy this allocator was built with. */
-    FramePolicy policy() const { return policy_; }
-
-    /**
-     * Number of 2 MB chunks with no frame allocated - the huge-run
-     * health metric the Buddy policy exists to preserve. Defined for
-     * both policies (full trailing chunks count).
-     */
-    std::uint64_t fullyFreeChunks() const;
-
     Device &device() { return dev_; }
 
   private:
-    /** Frames per 2 MB chunk. */
-    static constexpr std::uint64_t kChunkFrames =
-        kHugePageSize / kPageSize;
-
     std::uint64_t frameIndex(Paddr frame) const
     {
         return (frame - base_) / kPageSize;
@@ -95,22 +62,15 @@ class FrameAllocator
     }
     void markAllocated(std::uint64_t idx);
     void markFree(std::uint64_t idx);
-    Paddr allocBuddy();
 
     Device &dev_;
     Paddr base_;
-    FramePolicy policy_;
     std::uint64_t totalFrames_;
     std::uint64_t bump_ = 0;           // next never-used frame index
-    std::vector<Paddr> freeList_;      // recycled frames (Lifo)
+    std::vector<Paddr> freeList_;      // recycled frames
     std::uint64_t allocated_ = 0;
     /** 1 bit per frame: currently allocated (double-free detection). */
     std::vector<std::uint64_t> allocBits_;
-    // Buddy-policy chunk state ----------------------------------------
-    std::uint64_t numChunks_ = 0;
-    std::vector<std::uint32_t> chunkUsed_;  ///< allocated frames/chunk
-    std::vector<std::uint64_t> partialBits_; ///< 0 < used < size
-    std::vector<std::uint64_t> freeChunkBits_; ///< used == 0
 };
 
 } // namespace dax::mem

@@ -15,66 +15,6 @@
 
 namespace dax::sys {
 
-namespace {
-
-/**
- * Apply the DAXVM_ALLOC environment knob: a comma-separated list of
- * allocator-policy tokens ("first-fit" | "segregated" for the block
- * allocator, "lifo" | "buddy" for the frame allocators). The knob
- * overrides the SystemConfig defaults so check_sweep and CI can sweep
- * every policy without touching bench code (docs/performance.md).
- */
-void
-applyAllocEnv(fs::AllocPolicy &block, mem::FramePolicy &frame)
-{
-    const char *env = std::getenv("DAXVM_ALLOC");
-    if (env == nullptr)
-        return;
-    const std::string spec(env);
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string tok =
-            spec.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (tok == "first-fit")
-            block = fs::AllocPolicy::FirstFit;
-        else if (tok == "segregated")
-            block = fs::AllocPolicy::Segregated;
-        else if (tok == "lifo")
-            frame = mem::FramePolicy::Lifo;
-        else if (tok == "buddy")
-            frame = mem::FramePolicy::Buddy;
-        else if (!tok.empty())
-            throw std::invalid_argument(
-                "DAXVM_ALLOC: unknown policy '" + tok + "'");
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-}
-
-fs::AllocPolicy
-resolveBlockPolicy(const SystemConfig &config)
-{
-    fs::AllocPolicy block = config.blockAllocPolicy;
-    mem::FramePolicy frame = config.framePolicy;
-    applyAllocEnv(block, frame);
-    return block;
-}
-
-mem::FramePolicy
-resolveFramePolicy(const SystemConfig &config)
-{
-    fs::AllocPolicy block = config.blockAllocPolicy;
-    mem::FramePolicy frame = config.framePolicy;
-    applyAllocEnv(block, frame);
-    return frame;
-}
-
-} // namespace
-
 System::System(const SystemConfig &config)
     : config_(config), metrics_(config.cores), engine_(config.cores),
       pmem_(mem::Kind::Pmem, config.pmemBytes + config.pmemTableBytes,
@@ -83,21 +23,16 @@ System::System(const SystemConfig &config)
                             : config.backing),
       dram_(mem::Kind::Dram, config.dramBytes, config_.cm,
             mem::Backing::Sparse),
-      dramMeta_(dram_, 0, config.dramBytes, resolveFramePolicy(config)),
-      pmemTables_(pmem_, config.pmemBytes, config.pmemTableBytes,
-                  resolveFramePolicy(config)),
+      dramMeta_(dram_, 0, config.dramBytes),
+      pmemTables_(pmem_, config.pmemBytes, config.pmemTableBytes),
       hub_(config_.cm, config.cores, &metrics_),
       fs_(config.personality, pmem_, 0, config.pmemBytes, config_.cm,
-          &metrics_, resolveBlockPolicy(config)),
+          &metrics_),
       vfs_(fs_, config_.cm, config.inodeCacheCapacity)
 {
     pmem_.bindMetrics(metrics_, "mem.pmem");
     dram_.bindMetrics(metrics_, "mem.dram");
     fs_.setMediaPolicy(config.mediaPolicy);
-    // Mirror the resolved allocator policies (config or DAXVM_ALLOC)
-    // so config() introspection reports what is actually running.
-    config_.blockAllocPolicy = fs_.allocator().policy();
-    config_.framePolicy = dramMeta_.policy();
     bool fastPaths = config.hostFastPaths;
     if (const char *env = std::getenv("DAXVM_HOST_FAST")) {
         if (std::atoi(env) == 0)

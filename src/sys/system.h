@@ -53,22 +53,6 @@ struct SystemConfig
     bool daxvm = true;
     /** Divert frees to the asynchronous pre-zero daemon. */
     bool prezero = true;
-    /**
-     * Free-space strategy for the data-block allocator
-     * (docs/performance.md "Allocator strategies"). FirstFit keeps
-     * every current bench byte-identical; Segregated gives O(1)
-     * expected alloc/free on aged images (placement may differ).
-     */
-    fs::AllocPolicy blockAllocPolicy = fs::AllocPolicy::FirstFit;
-    /**
-     * Frame-recycling strategy for the metadata frame allocators
-     * (DRAM page tables, PMem DaxVM file tables). Buddy keeps 2 MB
-     * runs intact. The DAXVM_ALLOC environment knob overrides both
-     * allocator policies: a comma-separated list of
-     * "first-fit" | "segregated" (blocks) and "lifo" | "buddy"
-     * (frames), e.g. DAXVM_ALLOC=segregated,buddy.
-     */
-    mem::FramePolicy framePolicy = mem::FramePolicy::Lifo;
     /** VFS inode cache capacity (0 = unlimited). */
     std::size_t inodeCacheCapacity = 1 << 16;
     /**

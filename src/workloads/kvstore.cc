@@ -82,8 +82,13 @@ KvStore::flushMemtable(sim::Cpu &cpu)
     Sst sst;
     sst.path = config_.dir + "sst" + std::to_string(serial_++);
     sst.ino = system_.fs().create(cpu, sst.path);
-    if (!system_.fs().fallocate(cpu, sst.ino, 0, bytes))
+    if (!system_.fs().fallocate(cpu, sst.ino, 0, bytes)) {
+        // Unlike a compaction, a flush cannot back off: the memtable
+        // is full. Leave no empty SST behind for the caller to find.
+        system_.fs().unlink(cpu, sst.path);
+        flushes_--;
         throw std::runtime_error("kvstore: SST out of space");
+    }
     sst.va = mapKvFile(cpu, sst.ino, bytes);
     // Sequential write-out of the sorted memtable.
     as_.memWrite(cpu, sst.va, bytes, mem::Pattern::Seq,

@@ -1,10 +1,9 @@
 /**
  * @file
- * Strategy-equivalence tests for the pluggable allocation policies
- * (docs/performance.md "Allocator strategies"): every policy must
- * produce identical *logical* state - file contents, recovery images,
- * rebuild round-trips - even though physical placement differs. Also
- * exercises the segregated pool's own consistency audit under churn.
+ * First-fit block allocator tests (docs/performance.md "Block and
+ * frame allocators"): recovery after metadata churn, rebuild
+ * round-trips, and a differential trace against a sorted-vector
+ * placement oracle.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 
 #include "fs/block_alloc.h"
 #include "fs/file_system.h"
-#include "fs/seg_pool.h"
 #include "mem/device.h"
 #include "sim/rng.h"
 #include "sys/system.h"
@@ -24,11 +22,8 @@ using namespace dax::fs;
 
 namespace {
 
-const AllocPolicy kPolicies[] = {AllocPolicy::FirstFit,
-                                 AllocPolicy::Segregated};
-
 sys::SystemConfig
-policyConfig(AllocPolicy policy, Personality personality)
+churnConfig(Personality personality)
 {
     sys::SystemConfig sc;
     sc.cores = 2;
@@ -36,7 +31,6 @@ policyConfig(AllocPolicy policy, Personality personality)
     sc.pmemTableBytes = 16ULL << 20;
     sc.dramBytes = 32ULL << 20;
     sc.personality = personality;
-    sc.blockAllocPolicy = policy;
     return sc;
 }
 
@@ -58,8 +52,8 @@ runChurn(sys::System &system, std::vector<std::string> &paths)
     };
     for (int i = 0; i < 40; i++)
         makeOne("/churn/" + std::to_string(i));
-    // Punch deletion holes, then refill so the refills land in
-    // policy-dependent places.
+    // Punch deletion holes, then refill so the refills land in the
+    // holes' fragments.
     for (std::size_t i = 0; i < paths.size(); i += 3) {
         system.fs().unlink(cpu, paths[i]);
         paths[i] = paths.back();
@@ -101,7 +95,7 @@ fileHash(sys::System &system, const std::string &path)
 using Runs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /**
- * Placement oracle for the first-fit policy: the sorted-vector
+ * Placement oracle for the first-fit allocator: the sorted-vector
  * allocator the node-based free map replaced, with its carve passes,
  * coalescing and index-based range removal kept as they were. Only the
  * calls the differential trace makes are modelled (no prezero sink).
@@ -400,185 +394,78 @@ stateDiff(const BlockAllocator &alloc, const VectorFirstFit &ref)
 
 } // namespace
 
-TEST(AllocPolicy, EnvOverrideParsesAndRejects)
+TEST(AllocPolicy, RecoveryAfterChurnIsClean)
 {
-    setenv("DAXVM_ALLOC", "segregated,buddy", 1);
-    {
-        sys::System system(
-            policyConfig(AllocPolicy::FirstFit, Personality::Ext4Dax));
-        EXPECT_EQ(system.fs().allocator().policy(),
-                  AllocPolicy::Segregated);
-        EXPECT_EQ(system.config().framePolicy, mem::FramePolicy::Buddy);
-    }
-    setenv("DAXVM_ALLOC", "first-fit", 1);
-    {
-        sys::System system(policyConfig(AllocPolicy::Segregated,
-                                        Personality::Ext4Dax));
-        EXPECT_EQ(system.fs().allocator().policy(),
-                  AllocPolicy::FirstFit);
-        EXPECT_EQ(system.config().framePolicy, mem::FramePolicy::Lifo);
-    }
-    setenv("DAXVM_ALLOC", "bogus", 1);
-    EXPECT_THROW(sys::System system(policyConfig(
-                     AllocPolicy::FirstFit, Personality::Ext4Dax)),
-                 std::invalid_argument);
-    unsetenv("DAXVM_ALLOC");
-}
-
-TEST(AllocPolicy, IdenticalFileContentsAcrossPolicies)
-{
-    unsetenv("DAXVM_ALLOC");
     for (const auto personality :
          {Personality::Ext4Dax, Personality::Nova}) {
-        std::vector<std::vector<std::uint64_t>> hashes;
-        for (const auto policy : kPolicies) {
-            sys::System system(policyConfig(policy, personality));
-            std::vector<std::string> paths;
-            runChurn(system, paths);
-            std::vector<std::uint64_t> h;
-            for (const auto &p : paths)
-                h.push_back(fileHash(system, p));
-            hashes.push_back(std::move(h));
-        }
-        EXPECT_EQ(hashes[0], hashes[1])
-            << "file contents diverged between policies";
+        sys::System system(churnConfig(personality));
+        std::vector<std::string> paths;
+        runChurn(system, paths);
+        std::vector<std::uint64_t> before;
+        for (const auto &p : paths)
+            before.push_back(fileHash(system, p));
+        system.crash();
+        const auto rec = system.recover();
+        EXPECT_EQ(rec.fs.conflictBlocks, 0u);
+        EXPECT_TRUE(system.fs().allocator().check().empty());
+        std::vector<std::uint64_t> after;
+        for (const auto &p : paths)
+            after.push_back(fileHash(system, p));
+        EXPECT_EQ(after, before) << "recovery changed file contents";
     }
 }
 
-TEST(AllocPolicy, IdenticalRecoveryImagesAcrossPolicies)
+TEST(AllocPolicy, RebuildRoundTrips)
 {
-    unsetenv("DAXVM_ALLOC");
-    for (const auto personality :
-         {Personality::Ext4Dax, Personality::Nova}) {
-        std::vector<std::vector<std::uint64_t>> hashes;
-        for (const auto policy : kPolicies) {
-            sys::System system(policyConfig(policy, personality));
-            std::vector<std::string> paths;
-            runChurn(system, paths);
-            system.crash();
-            const auto rec = system.recover();
-            EXPECT_EQ(rec.fs.conflictBlocks, 0u);
-            EXPECT_TRUE(system.fs().allocator().check().empty());
-            std::vector<std::uint64_t> h;
-            for (const auto &p : paths)
-                h.push_back(fileHash(system, p));
-            hashes.push_back(std::move(h));
-        }
-        EXPECT_EQ(hashes[0], hashes[1])
-            << "recovered contents diverged between policies";
-    }
-}
-
-TEST(AllocPolicy, RebuildRoundTripsUnderBothPolicies)
-{
-    for (const auto policy : kPolicies) {
-        BlockAllocator alloc(4096, 0, policy);
-        sim::Rng rng(99);
-        std::vector<Extent> held;
-        for (int i = 0; i < 60; i++) {
-            auto got = alloc.alloc(1 + rng.below(96),
-                                   rng.below(4096));
-            for (const auto &e : got)
-                held.push_back(e);
-        }
-        for (std::size_t i = 0; i < held.size(); i += 3) {
-            alloc.free(held[i]);
-            held[i] = held.back();
-            held.pop_back();
-        }
-        std::uint64_t allocated = 0;
-        for (const auto &e : held)
-            allocated += e.count;
-
-        // Rebuild from the committed extents: everything else free.
-        EXPECT_EQ(alloc.rebuildFrom(held), 0u);
-        EXPECT_EQ(alloc.freeBlocks(), 4096u - allocated);
-        EXPECT_TRUE(alloc.check().empty());
-
-        // The free view must be exactly the complement of `held`.
-        for (const auto &e : held) {
-            auto again = alloc.alloc(e.count, e.block);
-            bool overlaps = false;
-            for (const auto &g : again)
-                overlaps = overlaps
-                           || (g.block < e.block + e.count
-                               && e.block < g.block + g.count);
-            EXPECT_FALSE(overlaps)
-                << "rebuild left a committed extent allocatable";
-            for (const auto &g : again)
-                alloc.free(g);
-        }
-
-        // Retired extents leave the population permanently.
-        const Extent bad{held[0].block, held[0].count};
-        alloc.rebuildRetired({bad});
-        EXPECT_EQ(alloc.retiredBlocks(), bad.count);
-        EXPECT_TRUE(alloc.check().empty());
-
-        // Conflicting images are detected under every policy.
-        BlockAllocator dirty(1024, 0, policy);
-        const Extent x{0, 80};
-        const Extent y{40, 80};
-        EXPECT_EQ(dirty.rebuildFrom({x, y}), 40u);
-        EXPECT_TRUE(dirty.check().empty());
-    }
-}
-
-TEST(AllocPolicy, SegregatedPoolAuditStaysCleanUnderChurn)
-{
-    BlockAllocator alloc(1ULL << 15, 0, AllocPolicy::Segregated);
-    sim::Rng rng(7);
+    BlockAllocator alloc(4096, 0);
+    sim::Rng rng(99);
     std::vector<Extent> held;
-    for (int op = 0; op < 20000; op++) {
-        const bool doAlloc =
-            held.empty() || (alloc.freeBlocks() > 0 && rng.below(2));
-        if (doAlloc) {
-            auto got =
-                alloc.alloc(1 + rng.below(64), rng.below(1ULL << 15),
-                            nullptr, rng.below(8) == 0);
-            for (const auto &e : got)
-                held.push_back(e);
-        } else {
-            const std::uint64_t i = rng.below(held.size());
-            alloc.free(held[i]);
-            held[i] = held.back();
-            held.pop_back();
-        }
-        if (op % 4000 == 0) {
-            ASSERT_TRUE(alloc.check().empty()) << "op " << op;
-        }
+    for (int i = 0; i < 60; i++) {
+        auto got = alloc.alloc(1 + rng.below(96), rng.below(4096));
+        for (const auto &e : got)
+            held.push_back(e);
     }
-    ASSERT_TRUE(alloc.check().empty());
-    for (const auto &e : held)
-        alloc.free(e);
-    EXPECT_EQ(alloc.freeBlocks(), 1ULL << 15);
-    EXPECT_EQ(alloc.freeExtents(), 1u);
-    EXPECT_EQ(alloc.largestFreeExtent(), 1ULL << 15);
-    EXPECT_TRUE(alloc.check().empty());
-}
-
-TEST(AllocPolicy, SegregatedServesGoalDirectedAndHugeCarves)
-{
-    BlockAllocator alloc(8192, 0, AllocPolicy::Segregated);
-    alloc.alloc(3, 0); // misalign the frontier
-    auto huge = alloc.alloc(kBlocksPerHuge, 0, nullptr,
-                            /*preferHugeAligned=*/true);
-    ASSERT_EQ(huge.size(), 1u);
-    EXPECT_EQ(huge[0].block % kBlocksPerHuge, 0u);
-
-    // Fragment, then gather a request larger than any single run.
-    std::vector<Extent> held;
-    for (int i = 0; i < 20; i++)
-        held.push_back(alloc.alloc(100, 0)[0]);
-    for (std::size_t i = 0; i < held.size(); i += 2)
+    for (std::size_t i = 0; i < held.size(); i += 3) {
         alloc.free(held[i]);
-    const std::uint64_t before = alloc.freeBlocks();
-    auto gathered = alloc.alloc(before, 0);
-    std::uint64_t total = 0;
-    for (const auto &e : gathered)
-        total += e.count;
-    EXPECT_EQ(total, before);
-    EXPECT_EQ(alloc.freeBlocks(), 0u);
+        held[i] = held.back();
+        held.pop_back();
+    }
+    std::uint64_t allocated = 0;
+    for (const auto &e : held)
+        allocated += e.count;
+
+    // Rebuild from the committed extents: everything else free.
+    EXPECT_EQ(alloc.rebuildFrom(held), 0u);
+    EXPECT_EQ(alloc.freeBlocks(), 4096u - allocated);
+    EXPECT_TRUE(alloc.check().empty());
+
+    // The free view must be exactly the complement of `held`.
+    for (const auto &e : held) {
+        auto again = alloc.alloc(e.count, e.block);
+        bool overlaps = false;
+        for (const auto &g : again)
+            overlaps = overlaps
+                       || (g.block < e.block + e.count
+                           && e.block < g.block + g.count);
+        EXPECT_FALSE(overlaps)
+            << "rebuild left a committed extent allocatable";
+        for (const auto &g : again)
+            alloc.free(g);
+    }
+
+    // Retired extents leave the population permanently.
+    const Extent bad{held[0].block, held[0].count};
+    alloc.rebuildRetired({bad});
+    EXPECT_EQ(alloc.retiredBlocks(), bad.count);
+    EXPECT_TRUE(alloc.check().empty());
+
+    // An image whose extents overlap reports the doubly-claimed
+    // blocks (the differential trace never rebuilds from overlaps).
+    BlockAllocator dirty(1024, 0);
+    const Extent x{0, 80};
+    const Extent y{40, 80};
+    EXPECT_EQ(dirty.rebuildFrom({x, y}), 40u);
+    EXPECT_TRUE(dirty.check().empty());
 }
 
 TEST(AllocPolicy, FirstFitPlacementMatchesSortedVectorReference)
@@ -587,7 +474,7 @@ TEST(AllocPolicy, FirstFitPlacementMatchesSortedVectorReference)
     // point; after each call the allocator must agree with the
     // sorted-vector oracle on the returned extents and on every pool.
     constexpr std::uint64_t kBlocks = 1ULL << 14;
-    BlockAllocator alloc(kBlocks, 0, AllocPolicy::FirstFit);
+    BlockAllocator alloc(kBlocks, 0);
     VectorFirstFit ref(kBlocks);
     sim::Rng rng(1212);
     std::vector<Extent> held;    // allocated and owned by the trace

@@ -434,12 +434,9 @@ TEST(Aging, ChurnProfileChangesTheSizeDistribution)
 TEST(Aging, PinnedSeedProfileIsBitStable)
 {
     // Frozen residue of one churn profile: any change to the size
-    // draw, watermark arithmetic, or allocator default behaviour shows
-    // up here as a changed count. Values harvested from the current
-    // implementation; both policies age through the identical
-    // create/delete sequence (allocation success depends only on the
-    // free-block count), so file counts match and only the shape of
-    // free space differs.
+    // draw, watermark arithmetic, or first-fit placement shows up here
+    // as a changed count. Values harvested from the current
+    // implementation.
     AgingConfig config;
     config.seed = 7;
     config.churnFactor = 2.0;
@@ -448,27 +445,14 @@ TEST(Aging, PinnedSeedProfileIsBitStable)
     config.highWaterDelta = 0.10;
     config.lowWaterDelta = 0.10;
 
-    struct Expect
-    {
-        AllocPolicy policy;
-        std::uint64_t freeExtents;
-    };
-    const Expect expected[] = {
-        {AllocPolicy::FirstFit, 1187},
-        {AllocPolicy::Segregated, 1112},
-    };
-    for (const auto &e : expected) {
-        sim::CostModel cm;
-        mem::Device pmem(mem::Kind::Pmem, 256ULL << 20, cm,
-                         mem::Backing::Sparse);
-        FileSystem fs(Personality::Ext4Dax, pmem, 0, 256ULL << 20, cm,
-                      nullptr, e.policy);
-        const AgingReport r = ageFileSystem(fs, config);
-        EXPECT_EQ(r.filesCreated, 24688u) << "policy " << int(e.policy);
-        EXPECT_EQ(r.filesDeleted, 17045u) << "policy " << int(e.policy);
-        EXPECT_EQ(r.freeExtents, e.freeExtents)
-            << "policy " << int(e.policy);
-    }
+    sim::CostModel cm;
+    mem::Device pmem(mem::Kind::Pmem, 256ULL << 20, cm,
+                     mem::Backing::Sparse);
+    FileSystem fs(Personality::Ext4Dax, pmem, 0, 256ULL << 20, cm);
+    const AgingReport r = ageFileSystem(fs, config);
+    EXPECT_EQ(r.filesCreated, 24688u);
+    EXPECT_EQ(r.filesDeleted, 17045u);
+    EXPECT_EQ(r.freeExtents, 1187u);
 }
 
 TEST(FileSystem, WriteAndFallocateEnospc)

@@ -403,82 +403,19 @@ TEST(FrameAllocator, RejectsForeignFrees)
     EXPECT_THROW(alloc.free(4097), std::invalid_argument);
 }
 
-TEST(FrameAllocator, DoubleFreeThrowsUnderBothPolicies)
+TEST(FrameAllocator, DoubleFreeThrows)
 {
     // Regression: the freelist used to accept the same frame twice and
-    // later hand it out to two owners. Both policies now track
-    // allocation in a per-frame bitmap and reject the second free.
-    for (const auto policy : {FramePolicy::Lifo, FramePolicy::Buddy}) {
-        Device dev(Kind::Dram, 1 << 20, cm, Backing::Sparse);
-        FrameAllocator alloc(dev, 0, 1 << 20, policy);
-        const Paddr a = alloc.alloc();
-        alloc.free(a);
-        EXPECT_THROW(alloc.free(a), std::logic_error);
-        // Never-allocated frames are equally rejected.
-        EXPECT_THROW(alloc.free(a + kPageSize), std::logic_error);
-        // The frame is still usable after the failed double free.
-        EXPECT_EQ(alloc.alloc(), a);
-        EXPECT_EQ(alloc.allocated(), 1u);
-    }
-}
-
-TEST(FrameAllocator, BuddyKeepsHugeChunksIntact)
-{
-    // 8 MB region = 4 chunks of 2 MB. The Buddy policy packs frames
-    // into the lowest partially-used chunk, so a workload that churns
-    // fewer frames than one chunk's worth never breaks the others.
-    const std::uint64_t size = 8ULL << 20;
-    const std::uint64_t chunkFrames = kHugePageSize / kPageSize;
-    Device dev(Kind::Dram, size, cm, Backing::Sparse);
-    FrameAllocator alloc(dev, 0, size, FramePolicy::Buddy);
-    EXPECT_EQ(alloc.policy(), FramePolicy::Buddy);
-    EXPECT_EQ(alloc.fullyFreeChunks(), 4u);
-
-    std::vector<Paddr> held;
-    for (std::uint64_t i = 0; i < chunkFrames / 2; i++)
-        held.push_back(alloc.alloc());
-    // A quarter of one chunk's worth of churn stays in chunk 0.
-    for (int round = 0; round < 1000; round++) {
-        alloc.free(held[static_cast<std::size_t>(round * 7)
-                        % held.size()]);
-        held[static_cast<std::size_t>(round * 7) % held.size()] =
-            alloc.alloc();
-    }
-    for (const Paddr p : held)
-        EXPECT_LT(p, kHugePageSize);
-    EXPECT_EQ(alloc.fullyFreeChunks(), 3u);
-
-    for (const Paddr p : held)
-        alloc.free(p);
-    EXPECT_EQ(alloc.fullyFreeChunks(), 4u);
-}
-
-TEST(FrameAllocator, BuddyPrefersPartialChunkOverFreeChunk)
-{
-    const std::uint64_t size = 8ULL << 20;
-    const std::uint64_t chunkFrames = kHugePageSize / kPageSize;
-    Device dev(Kind::Dram, size, cm, Backing::Sparse);
-    FrameAllocator alloc(dev, 0, size, FramePolicy::Buddy);
-
-    // Fill chunks 0 and 1, then poke a hole in chunk 1: the next
-    // allocation must reuse the hole, not open chunk 2.
-    std::vector<Paddr> held;
-    for (std::uint64_t i = 0; i < 2 * chunkFrames; i++)
-        held.push_back(alloc.alloc());
-    const Paddr hole = held[chunkFrames + 3];
-    alloc.free(hole);
-    EXPECT_EQ(alloc.alloc(), hole);
-    EXPECT_EQ(alloc.fullyFreeChunks(), 2u);
-}
-
-TEST(FrameAllocator, BuddyExhaustionAndRecovery)
-{
-    Device dev(Kind::Dram, 4 * kPageSize, cm, Backing::Sparse);
-    FrameAllocator alloc(dev, 0, 4 * kPageSize, FramePolicy::Buddy);
-    std::vector<Paddr> all;
-    for (int i = 0; i < 4; i++)
-        all.push_back(alloc.alloc());
-    EXPECT_THROW(alloc.alloc(), std::bad_alloc);
-    alloc.free(all[2]);
-    EXPECT_EQ(alloc.alloc(), all[2]);
+    // later hand it out to two owners. A per-frame allocation bitmap
+    // now rejects the second free.
+    Device dev(Kind::Dram, 1 << 20, cm, Backing::Sparse);
+    FrameAllocator alloc(dev, 0, 1 << 20);
+    const Paddr a = alloc.alloc();
+    alloc.free(a);
+    EXPECT_THROW(alloc.free(a), std::logic_error);
+    // Never-allocated frames are equally rejected.
+    EXPECT_THROW(alloc.free(a + kPageSize), std::logic_error);
+    // The frame is still usable after the failed double free.
+    EXPECT_EQ(alloc.alloc(), a);
+    EXPECT_EQ(alloc.allocated(), 1u);
 }

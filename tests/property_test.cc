@@ -115,17 +115,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BusyIntervalsProperty,
 // Block allocator conservation under random churn
 // ---------------------------------------------------------------------
 
-class AllocatorProperty
-    : public ::testing::TestWithParam<
-          std::tuple<std::uint64_t, fs::AllocPolicy>>
+class AllocatorProperty : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
 TEST_P(AllocatorProperty, ConservesBlocksUnderChurn)
 {
-    sim::Rng rng(std::get<0>(GetParam()));
+    sim::Rng rng(GetParam());
     const std::uint64_t total = 16384;
-    fs::BlockAllocator alloc(total, 0, std::get<1>(GetParam()));
+    fs::BlockAllocator alloc(total, 0);
     std::vector<fs::Extent> held;
     std::uint64_t heldBlocks = 0;
 
@@ -163,11 +161,8 @@ TEST_P(AllocatorProperty, ConservesBlocksUnderChurn)
     EXPECT_TRUE(alloc.check().empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, AllocatorProperty,
-    ::testing::Combine(::testing::Values(3, 9, 27, 81),
-                       ::testing::Values(fs::AllocPolicy::FirstFit,
-                                         fs::AllocPolicy::Segregated)));
+INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorProperty,
+                         ::testing::Values(3, 9, 27, 81));
 
 // ---------------------------------------------------------------------
 // Data integrity across interfaces and file sizes

@@ -296,6 +296,28 @@ TEST(KvStore, PutGetFlushCompact)
     EXPECT_FALSE(kv.get(cpu, 99999));
 }
 
+TEST(KvStore, FullDeviceThrowsWithoutLeavingAnOrphanSst)
+{
+    // Regression: a flush that found no space for its SST threw with
+    // the file it had just created still linked.
+    sys::System system(testConfig(64ULL << 20));
+    auto as = system.newProcess();
+    KvStore::Config config;
+    config.memtableRecords = 64;
+    config.access.interface = Interface::DaxVm;
+    config.access.nosync = true;
+    KvStore kv(system, *as, config);
+    sim::Cpu cpu(nullptr, 0, 0);
+    try {
+        for (std::uint64_t k = 0; k < 100000; k++)
+            kv.put(cpu, k);
+        FAIL() << "100,000 records never filled a 64 MB image";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "kvstore: SST out of space");
+    }
+    EXPECT_EQ(system.fs().list("/kv/sst").size(), kv.sstables());
+}
+
 TEST(KvStore, WorksOverPosixMmapWithMapSync)
 {
     sys::System system(testConfig(1ULL << 30));

@@ -400,6 +400,11 @@ main(int argc, char **argv)
                      (unsigned long long)e.ino(),
                      (unsigned long long)e.fileBlock());
         return 1;
+    } catch (const std::exception &e) {
+        // Any other fault (e.g. a full device) ends the run with a
+        // report, never an abort.
+        std::fprintf(stderr, "daxsim: %s\n", e.what());
+        return 1;
     }
     if (rc != 0)
         return rc;
