@@ -85,8 +85,9 @@ class FsChecker final : public Checker
         fs::FileSystem &fs = oracle.system().fs();
 
         std::vector<Claim> claims;
-        for (const auto &[ino, node] : fs.inodeMap()) {
-            checkInode(oracle, ino, *node, claims);
+        for (const auto &node : fs.inodeTable()) {
+            if (node != nullptr)
+                checkInode(oracle, node->ino, *node, claims);
         }
         // Free and zeroed pools also count as owners: an extent still
         // referenced by an inode must not be handed out again.

@@ -30,7 +30,7 @@ class AsyncUnmapper
     void
     add(vm::AddressSpace &as, const vm::Vma &vma)
     {
-        auto &state = perAs_[&as];
+        auto &state = perAs_[as.asid()];
         state.vmaStarts.push_back(vma.start);
         state.pages += vma.usedPages != 0
                            ? vma.usedPages
@@ -42,7 +42,7 @@ class AsyncUnmapper
     bool
     needsFlush(vm::AddressSpace &as) const
     {
-        auto it = perAs_.find(&as);
+        auto it = perAs_.find(as.asid());
         return it != perAs_.end() && it->second.pages >= batchPages_;
     }
 
@@ -50,7 +50,7 @@ class AsyncUnmapper
     std::vector<std::uint64_t>
     take(vm::AddressSpace &as)
     {
-        auto it = perAs_.find(&as);
+        auto it = perAs_.find(as.asid());
         if (it == perAs_.end())
             return {};
         auto starts = std::move(it->second.vmaStarts);
@@ -62,7 +62,7 @@ class AsyncUnmapper
     std::uint64_t
     pendingPages(vm::AddressSpace &as) const
     {
-        auto it = perAs_.find(&as);
+        auto it = perAs_.find(as.asid());
         return it == perAs_.end() ? 0 : it->second.pages;
     }
 
@@ -78,7 +78,13 @@ class AsyncUnmapper
     };
 
     unsigned batchPages_;
-    std::map<vm::AddressSpace *, State> perAs_;
+    /**
+     * Keyed by ASID, which is never reused, not by the AddressSpace's
+     * address, which the heap reuses: a process that exits with
+     * zombies below the threshold leaves its entry behind, and no later
+     * process may inherit it.
+     */
+    std::map<arch::Asid, State> perAs_;
     std::uint64_t deferred_ = 0;
 };
 

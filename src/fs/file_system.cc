@@ -23,15 +23,14 @@ FileSystem::FileSystem(Personality personality, mem::Device &pmem,
                         : std::make_unique<sim::MetricsRegistry>()),
       metrics_(metrics != nullptr ? metrics : ownedMetrics_.get()),
       alloc_(dataBytes / kBlockSize, dataBase),
-      journal_(personality, cm)
+      journal_(personality, cm), inodes_(1)
 {
     if (dataBase % kBlockSize != 0 || dataBytes % kBlockSize != 0)
         throw std::invalid_argument("fs region not block aligned");
     // Commit snapshots capture the live inode through this resolver
     // (keeps Journal independent of the inode table's representation).
     journal_.setResolver([this](Ino ino) -> const Inode * {
-        auto it = inodes_.find(ino);
-        return it == inodes_.end() ? nullptr : it->second.get();
+        return exists(ino) ? inodes_[ino].get() : nullptr;
     });
 
     sim::MetricsScope scope(*metrics_, "fs");
@@ -80,15 +79,14 @@ FileSystem::FileSystem(Personality personality, mem::Device &pmem,
 Ino
 FileSystem::create(sim::Cpu &cpu, const std::string &path)
 {
-    if (names_.count(path) != 0)
+    const Ino ino = inodes_.size();
+    if (!names_.emplace(path, ino).second)
         throw std::invalid_argument("create: path exists: " + path);
     cpu.advance(cm_.openBase);
-    const Ino ino = nextIno_++;
     auto node = std::make_unique<Inode>();
     node->ino = ino;
     node->path = path;
-    inodes_.emplace(ino, std::move(node));
-    names_.emplace(path, ino);
+    inodes_.push_back(std::move(node));
     journal_.markDirty(ino);
     counters_.creates.addAt(cpu.coreId());
     return ino;
@@ -110,7 +108,7 @@ FileSystem::unlink(sim::Cpu &cpu, const std::string &path)
     for (auto *h : hooks_)
         h->onInodeEvict(node);
     names_.erase(it);
-    inodes_.erase(ino);
+    inodes_[ino].reset();
     counters_.unlinks.addAt(cpu.coreId());
     return true;
 }
@@ -128,30 +126,29 @@ std::vector<std::string>
 FileSystem::list(const std::string &prefix) const
 {
     std::vector<std::string> out;
-    for (auto it = names_.lower_bound(prefix); it != names_.end(); ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        out.push_back(it->first);
+    for (const auto &[path, ino] : names_) {
+        (void)ino;
+        if (path.compare(0, prefix.size(), prefix) == 0)
+            out.push_back(path);
     }
+    std::sort(out.begin(), out.end());
     return out;
 }
 
 Inode &
 FileSystem::inode(Ino ino)
 {
-    auto it = inodes_.find(ino);
-    if (it == inodes_.end())
+    if (!exists(ino))
         throw std::invalid_argument("no such inode");
-    return *it->second;
+    return *inodes_[ino];
 }
 
 const Inode &
 FileSystem::inode(Ino ino) const
 {
-    auto it = inodes_.find(ino);
-    if (it == inodes_.end())
+    if (!exists(ino))
         throw std::invalid_argument("no such inode");
-    return *it->second;
+    return *inodes_[ino];
 }
 
 void
@@ -509,19 +506,22 @@ FileSystem::recover()
     report.rolledBack = journal_.dirtyCount();
 
     // Everything in memory is gone; per-inode private state (DaxVM
-    // tables) is destroyed with the inodes.
-    for (auto &[ino, node] : inodes_) {
-        (void)ino;
-        notifyEvict(*node);
+    // tables) is destroyed with the inodes, in ascending inode number
+    // (DaxVM frees table frames in this order, and the LIFO frame
+    // allocator makes it visible in simulated output).
+    for (auto &node : inodes_) {
+        if (node != nullptr)
+            notifyEvict(*node);
     }
     names_.clear();
-    inodes_.clear();
+    // Keep the table's size: inode numbers are never reused.
+    for (auto &node : inodes_)
+        node.reset();
     journal_.clearDirty();
 
     // Replay the durable image: each committed record becomes a live
     // inode again.
     std::vector<Extent> allocated;
-    Ino maxIno = 0;
     for (const auto &[ino, rec] : journal_.committedImage()) {
         // Double-fault injection point: a crash while this inode is
         // being restored (mid-journal-replay / mid-log-scan) must
@@ -541,12 +541,11 @@ FileSystem::recover()
             allocated.push_back(e);
         }
         names_.emplace(rec.path, ino);
-        inodes_.emplace(ino, std::move(node));
-        maxIno = std::max(maxIno, ino);
+        if (ino >= inodes_.size())
+            inodes_.resize(ino + 1);
+        inodes_[ino] = std::move(node);
         report.inodesRestored++;
     }
-    if (maxIno >= nextIno_)
-        nextIno_ = maxIno + 1;
 
     // The allocator's free map is derived state: rebuild it so exactly
     // the committed extents are in use. Blocks that were in flight to
@@ -564,28 +563,36 @@ FileSystem::fsck() const
 {
     std::vector<std::string> problems = alloc_.check();
 
-    // Namespace <-> inode table.
-    for (const auto &[path, ino] : names_) {
-        auto it = inodes_.find(ino);
-        if (it == inodes_.end())
+    // Namespace <-> inode table, reported in path order.
+    std::vector<std::pair<std::string, Ino>> names(names_.begin(),
+                                                   names_.end());
+    std::sort(names.begin(), names.end());
+    for (const auto &[path, ino] : names) {
+        if (!exists(ino))
             problems.push_back("name '" + path + "' -> missing inode "
                                + std::to_string(ino));
-        else if (it->second->path != path)
+        else if (inodes_[ino]->path != path)
             problems.push_back("name '" + path + "' -> inode "
                                + std::to_string(ino)
-                               + " with path '" + it->second->path + "'");
+                               + " with path '" + inodes_[ino]->path
+                               + "'");
     }
-    for (const auto &[ino, node] : inodes_) {
-        if (names_.count(node->path) == 0
-            || names_.at(node->path) != ino) {
-            problems.push_back("inode " + std::to_string(ino)
+    for (const auto &node : inodes_) {
+        if (node == nullptr)
+            continue;
+        const auto it = names_.find(node->path);
+        if (it == names_.end() || it->second != node->ino) {
+            problems.push_back("inode " + std::to_string(node->ino)
                                + " not reachable via its path");
         }
     }
 
     // Per-inode extent trees + global double-claim detection.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> claims;
-    for (const auto &[ino, node] : inodes_) {
+    for (const auto &node : inodes_) {
+        if (node == nullptr)
+            continue;
+        const Ino ino = node->ino;
         const std::string tag = "inode " + std::to_string(ino);
         std::uint64_t counted = 0;
         std::uint64_t prevEnd = 0;
@@ -649,10 +656,13 @@ FileSystem::resolveBlock(std::uint64_t block) const
 {
     // Machine checks are rare: a linear reverse lookup is fine here
     // and keeps the write/alloc fast paths free of reverse-map upkeep.
-    for (const auto &[ino, node] : inodes_) {
+    for (const auto &node : inodes_) {
+        if (node == nullptr)
+            continue;
         for (const auto &[fileBlock, e] : node->extents) {
             if (block >= e.block && block < e.block + e.count)
-                return std::make_pair(ino, fileBlock + (block - e.block));
+                return std::make_pair(node->ino,
+                                      fileBlock + (block - e.block));
         }
     }
     return std::nullopt;
@@ -831,9 +841,10 @@ FileSystem::fsckRepair()
 {
     sim::Cpu scratch(nullptr, -1, 0);
     std::uint64_t punched = 0;
-    for (auto &[ino, node] : inodes_) {
-        if (node->badBlocks.empty())
+    for (auto &node : inodes_) {
+        if (node == nullptr || node->badBlocks.empty())
             continue;
+        const Ino ino = node->ino;
         while (!node->badBlocks.empty()) {
             const std::uint64_t fileBlock = node->badBlocks.begin()->first;
             const auto phys = punchBlock(*node, fileBlock);

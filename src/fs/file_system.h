@@ -19,10 +19,10 @@
 
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fs/block_alloc.h"
@@ -162,7 +162,7 @@ class FileSystem
     /** Path -> inode (functional, no timing). */
     std::optional<Ino> lookupPath(const std::string &path) const;
 
-    /** All paths with the given prefix (directory walk). */
+    /** All paths with the given prefix (directory walk), sorted. */
     std::vector<std::string> list(const std::string &prefix) const;
 
     // ------------------------------------------------------------------
@@ -276,10 +276,18 @@ class FileSystem
 
     Inode &inode(Ino ino);
     const Inode &inode(Ino ino) const;
-    bool exists(Ino ino) const { return inodes_.count(ino) != 0; }
+    bool exists(Ino ino) const
+    {
+        return ino < inodes_.size() && inodes_[ino] != nullptr;
+    }
 
-    /** Live inode table, for invariant checkers. */
-    const std::map<Ino, std::unique_ptr<Inode>> &inodeMap() const
+    /**
+     * The inode table, indexed by inode number: slot 0 and the slots
+     * of unlinked inodes are null. Numbers are issued in ascending
+     * order and never reused, so walking the table visits the live
+     * inodes in ascending inode number.
+     */
+    const std::vector<std::unique_ptr<Inode>> &inodeTable() const
     {
         return inodes_;
     }
@@ -346,9 +354,9 @@ class FileSystem
     sim::MetricsRegistry *metrics_;
     BlockAllocator alloc_;
     Journal journal_;
-    std::map<std::string, Ino> names_;
-    std::map<Ino, std::unique_ptr<Inode>> inodes_;
-    Ino nextIno_ = 1;
+    std::unordered_map<std::string, Ino> names_;
+    /** See inodeTable(); its size is the next inode number. */
+    std::vector<std::unique_ptr<Inode>> inodes_;
     std::vector<FsHooks *> hooks_;
     MediaPolicy mediaPolicy_ = MediaPolicy::FailFast;
     /** Plain members, not registry metrics (byte-identity: see above). */

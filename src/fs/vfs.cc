@@ -23,10 +23,8 @@ Vfs::open(sim::Cpu &cpu, const std::string &path)
     res.ino = *ino;
     auto it = cache_.find(*ino);
     if (it != cache_.end()) {
-        // Warm: refresh LRU position.
-        lru_.erase(it->second);
-        lru_.push_front(*ino);
-        it->second = lru_.begin();
+        // Warm: refresh LRU position (the node moves; nothing allocates).
+        lru_.splice(lru_.begin(), lru_, it->second);
         warmOpens_++;
     } else {
         cpu.advance(cm_.coldOpenExtra);
@@ -59,10 +57,13 @@ Vfs::evictIfNeeded()
         // Evict the least recently used unpinned inode.
         bool evicted = false;
         for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-            Inode &node = fs_.inode(*it);
-            if (node.pins > 0)
-                continue;
-            fs_.notifyEvict(node);
+            // An unlinked inode has already notified the hooks.
+            if (fs_.exists(*it)) {
+                Inode &node = fs_.inode(*it);
+                if (node.pins > 0)
+                    continue;
+                fs_.notifyEvict(node);
+            }
             cache_.erase(*it);
             lru_.erase(std::next(it).base());
             evicted = true;
@@ -77,12 +78,15 @@ void
 Vfs::dropCaches()
 {
     for (auto it = lru_.begin(); it != lru_.end();) {
-        Inode &node = fs_.inode(*it);
-        if (node.pins > 0) {
-            ++it;
-            continue;
+        // An unlinked inode has already notified the hooks.
+        if (fs_.exists(*it)) {
+            Inode &node = fs_.inode(*it);
+            if (node.pins > 0) {
+                ++it;
+                continue;
+            }
+            fs_.notifyEvict(node);
         }
-        fs_.notifyEvict(node);
         cache_.erase(*it);
         it = lru_.erase(it);
     }

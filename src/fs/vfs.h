@@ -45,7 +45,11 @@ class Vfs
     std::uint64_t coldOpens() const { return coldOpens_; }
     std::uint64_t warmOpens() const { return warmOpens_; }
 
-    /** Drop every unpinned inode (e.g. memory-pressure simulation). */
+    /**
+     * Drop every unpinned inode (e.g. memory-pressure simulation).
+     * Entries of unlinked inodes go too, without an evict notification:
+     * unlink already sent one.
+     */
     void dropCaches();
 
     /**

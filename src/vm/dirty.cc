@@ -409,7 +409,12 @@ VmManager::onBlocksFreeing(sim::Cpu &cpu, fs::Inode &inode,
 void
 VmManager::onInodeEvict(fs::Inode &inode)
 {
-    (void)inode;
+    // Mappings outlive the inode cache: keep the entry while it still
+    // records a mapping or a dirty tag.
+    auto it = inodeVm_.find(inode.ino);
+    if (it != inodeVm_.end() && it->second.mappings.empty()
+        && it->second.dirty.empty())
+        inodeVm_.erase(it);
 }
 
 } // namespace dax::vm

@@ -11,11 +11,13 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/perf.h"
@@ -165,7 +167,10 @@ class VmManager : public fs::FsHooks
     /** Live address spaces, for invariant checkers. */
     const std::set<AddressSpace *> &spaces() const { return spaces_; }
 
-    /** Inodes with reverse-mapping state, for invariant checkers. */
+    /**
+     * Inodes with reverse-mapping state, in ascending inode number, for
+     * invariant checkers.
+     */
     std::vector<fs::Ino>
     mappedInodes() const
     {
@@ -173,6 +178,7 @@ class VmManager : public fs::FsHooks
         inos.reserve(inodeVm_.size());
         for (const auto &[ino, state] : inodeVm_)
             inos.push_back(ino);
+        std::sort(inos.begin(), inos.end());
         return inos;
     }
 
@@ -228,7 +234,13 @@ class VmManager : public fs::FsHooks
     mem::Device &dram_;
     std::unique_ptr<sim::MetricsRegistry> ownedMetrics_;
     sim::MetricsRegistry *metrics_;
-    std::map<fs::Ino, InodeVm> inodeVm_;
+    /**
+     * Reverse-mapping state per inode. An entry with no mapping and no
+     * dirty tag behaves exactly like a missing one; onInodeEvict()
+     * erases such an entry when its inode leaves the VFS cache or is
+     * unlinked.
+     */
+    std::unordered_map<fs::Ino, InodeVm> inodeVm_;
     sim::CheckHook *checkHook_ = nullptr;
     arch::Asid nextAsid_ = 1;
     std::uint64_t mceSigbus_ = 0;

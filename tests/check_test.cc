@@ -126,6 +126,37 @@ TEST(Corruption, OverlappingExtentsTripFsChecker)
     EXPECT_EQ(oracle->runAll(), 0u) << oracle->reportText();
 }
 
+TEST(Corruption, MappedInodeWithoutEntryTripsVmChecker)
+{
+    sys::System system(checkedConfig());
+    check::Oracle *oracle = system.oracle();
+    ASSERT_NE(oracle, nullptr);
+    oracle->setFailFast(false);
+
+    sim::Cpu cpu(nullptr, 0, 0);
+    const fs::Ino ino = system.makeFile("/f", 4 * 4096);
+    auto as = system.newProcess();
+    ASSERT_TRUE(system.open(cpu, "/f").has_value());
+    const std::uint64_t va = as->mmap(cpu, ino, 0, 4 * 4096, false, 0);
+    ASSERT_NE(va, 0u);
+    system.vfs().close(cpu, ino);
+    EXPECT_EQ(oracle->runAll(), 0u) << oracle->reportText();
+
+    // Corrupt: drop the registration but keep the VMA, then evict the
+    // inode, which erases the now-empty reverse-map entry. The VMA
+    // still maps the inode, so the checker must notice.
+    system.vmm().unregisterMapping(ino, as.get(), va);
+    system.remount();
+    ASSERT_TRUE(system.vmm().mappedInodes().empty());
+
+    EXPECT_GE(oracle->runAll(), 1u);
+    expectOnly(*oracle, "vm", "vm.rmap.refcount");
+
+    system.vmm().registerMapping(ino, as.get(), va);
+    oracle->clearViolations();
+    EXPECT_EQ(oracle->runAll(), 0u) << oracle->reportText();
+}
+
 TEST(Corruption, DoubleClaimedBlockTripsFsChecker)
 {
     sys::System system(checkedConfig());

@@ -529,6 +529,35 @@ TEST(AsyncUnmap, LargerBatchDefersLonger)
     EXPECT_EQ(f.dax().unmapper().pendingPages(*f.as), 0u);
 }
 
+TEST(AsyncUnmap, ExitedProcessLeavesNoZombiesToTheNext)
+{
+    // A process that exits below the batch threshold takes its zombie
+    // list with it. Were the state keyed by the AddressSpace's heap
+    // address, the next process the allocator placed there would
+    // inherit the list and flush early, and simulated output would
+    // depend on host allocation.
+    Fixture f;
+    f.dax().setAsyncBatchPages(8);
+    const fs::Ino ino = f.system.makeFile("/a", 4096);
+    for (int i = 0; i < 3; i++) {
+        auto doomed = f.system.newProcess();
+        const std::uint64_t va = f.dax().mmap(
+            f.cpu, *doomed, ino, 0, 4096, false,
+            vm::kMapEphemeral | vm::kMapUnmapAsync);
+        f.dax().munmap(f.cpu, *doomed, va);
+        ASSERT_EQ(f.dax().unmapper().pendingPages(*doomed), 1u);
+    }
+    auto next = f.system.newProcess();
+    EXPECT_EQ(f.dax().unmapper().pendingPages(*next), 0u);
+    for (int i = 0; i < 7; i++) {
+        const std::uint64_t va = f.dax().mmap(
+            f.cpu, *next, ino, 0, 4096, false,
+            vm::kMapEphemeral | vm::kMapUnmapAsync);
+        f.dax().munmap(f.cpu, *next, va);
+    }
+    EXPECT_EQ(f.dax().unmapper().pendingPages(*next), 7u);
+}
+
 TEST(AsyncUnmap, TruncateForcesSynchronousUnmap)
 {
     // Paper Section IV-C: storage reclamation forces zombie teardown

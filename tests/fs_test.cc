@@ -5,7 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "fs/aging.h"
@@ -13,6 +18,7 @@
 #include "fs/file_system.h"
 #include "fs/vfs.h"
 #include "mem/device.h"
+#include "sim/rng.h"
 
 using namespace dax;
 using namespace dax::fs;
@@ -31,6 +37,20 @@ struct Fixture
     mem::Device pmem;
     FileSystem fs;
     sim::Cpu cpu{nullptr, 0, 0};
+};
+
+/** Records the inode number of every onInodeEvict call. */
+struct EvictRecorder : FsHooks
+{
+    void onBlocksAllocated(sim::Cpu &, Inode &, std::uint64_t,
+                           const Extent &) override
+    {}
+    void onBlocksFreeing(sim::Cpu &, Inode &, std::uint64_t,
+                         const Extent &) override
+    {}
+    void onInodeEvict(Inode &inode) override { evicted.push_back(inode.ino); }
+
+    std::vector<Ino> evicted;
 };
 
 } // namespace
@@ -372,6 +392,212 @@ TEST(Vfs, DropCachesEvictsEverythingUnpinned)
     EXPECT_EQ(vfs.cachedCount(), 1u);
     vfs.dropCaches();
     EXPECT_EQ(vfs.cachedCount(), 0u);
+}
+
+TEST(Vfs, UnlinkedInodeLeavesTheCache)
+{
+    // dropCaches() (System::remount) after open, close and unlink.
+    {
+        Fixture f;
+        EvictRecorder hooks;
+        f.fs.addHooks(&hooks);
+        Vfs vfs(f.fs, f.cm, 0);
+        f.fs.create(f.cpu, "/a");
+        const auto a = vfs.open(f.cpu, "/a");
+        vfs.close(f.cpu, a->ino);
+        ASSERT_TRUE(f.fs.unlink(f.cpu, "/a"));
+        EXPECT_EQ(hooks.evicted, std::vector<Ino>{a->ino});
+        EXPECT_NO_THROW(vfs.dropCaches());
+        EXPECT_FALSE(vfs.isCached(a->ino));
+        EXPECT_EQ(vfs.cachedCount(), 0u);
+        // Unlink already notified the hooks; the cache sends nothing.
+        EXPECT_EQ(hooks.evicted, std::vector<Ino>{a->ino});
+    }
+    // LRU eviction when a later open fills the cache.
+    {
+        Fixture f;
+        EvictRecorder hooks;
+        f.fs.addHooks(&hooks);
+        Vfs vfs(f.fs, f.cm, 1);
+        f.fs.create(f.cpu, "/b");
+        const auto b = vfs.open(f.cpu, "/b");
+        vfs.close(f.cpu, b->ino);
+        ASSERT_TRUE(f.fs.unlink(f.cpu, "/b"));
+        f.fs.create(f.cpu, "/c");
+        std::optional<Vfs::OpenResult> c;
+        EXPECT_NO_THROW(c = vfs.open(f.cpu, "/c"));
+        ASSERT_TRUE(c.has_value());
+        EXPECT_TRUE(c->cold);
+        EXPECT_FALSE(vfs.isCached(b->ino));
+        EXPECT_TRUE(vfs.isCached(c->ino));
+        EXPECT_EQ(vfs.cachedCount(), 1u);
+        EXPECT_EQ(hooks.evicted, std::vector<Ino>{b->ino});
+        vfs.close(f.cpu, c->ino);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Inode table and name index
+// ---------------------------------------------------------------------
+
+/**
+ * Seeded namespace churn (create, unlink, fsync, lookup, list, crash +
+ * recover) applied to a FileSystem and to ordered reference maps.
+ * After every operation the file system must agree with the maps, list
+ * sorted paths, walk its table in ascending inode number and pass
+ * fsck; recovery must evict the lost inodes in ascending number.
+ */
+TEST(InodeTable, RandomOpsMatchOrderedReference)
+{
+    for (const Personality personality :
+         {Personality::Ext4Dax, Personality::Nova}) {
+        SCOPED_TRACE(personality == Personality::Ext4Dax ? "ext4" : "nova");
+        Fixture f(personality);
+        EvictRecorder hooks;
+        f.fs.addHooks(&hooks);
+        sim::Rng rng(20);
+
+        std::map<Ino, std::string> byIno;
+        std::map<std::string, Ino> byPath;
+        std::map<Ino, std::string> committed;
+        // Created since their last commit. An ext4 fsync commits the
+        // whole running transaction; a NOVA fsync only its own inode.
+        std::set<Ino> dirty;
+        const auto fsync = [&](Ino ino) {
+            f.fs.fsync(f.cpu, ino);
+            for (const Ino d : dirty) {
+                if (personality == Personality::Ext4Dax || d == ino)
+                    committed[d] = byIno.at(d);
+            }
+            if (personality == Personality::Ext4Dax)
+                dirty.clear();
+            else
+                dirty.erase(ino);
+        };
+        Ino lastIssued = 0;
+        int recoveries = 0;
+        const auto randomPath = [&] {
+            return "/d" + std::to_string(rng.below(3)) + "/f"
+                   + std::to_string(rng.below(64));
+        };
+        const std::vector<std::string> prefixes = {
+            "", "/", "/d0/", "/d1/f1", "/d2/f63", "/none/"};
+
+        for (int op = 0; op < 20000; op++) {
+            SCOPED_TRACE("op " + std::to_string(op));
+            const std::uint64_t kind = rng.below(100);
+            if (kind < 35) {
+                const std::string path = randomPath();
+                if (byPath.count(path) != 0) {
+                    EXPECT_THROW(f.fs.create(f.cpu, path),
+                                 std::invalid_argument);
+                } else {
+                    const Ino ino = f.fs.create(f.cpu, path);
+                    ASSERT_GT(ino, lastIssued); // ascending, never reused
+                    lastIssued = ino;
+                    byIno[ino] = path;
+                    byPath[path] = ino;
+                    dirty.insert(ino);
+                    if (rng.below(2) == 0) {
+                        ASSERT_TRUE(f.fs.fallocate(
+                            f.cpu, ino, 0, (1 + rng.below(3)) * kBlockSize));
+                    }
+                    if (rng.below(2) == 0)
+                        fsync(ino);
+                }
+            } else if (kind < 60) {
+                const std::string path = randomPath();
+                const auto it = byPath.find(path);
+                ASSERT_EQ(f.fs.unlink(f.cpu, path), it != byPath.end());
+                if (it != byPath.end()) {
+                    const Ino ino = it->second;
+                    EXPECT_THROW(f.fs.inode(ino), std::invalid_argument);
+                    byIno.erase(ino);
+                    committed.erase(ino);
+                    dirty.erase(ino);
+                    byPath.erase(it);
+                }
+            } else if (kind < 70) {
+                if (!byIno.empty()) {
+                    auto it = byIno.begin();
+                    std::advance(it, rng.below(byIno.size()));
+                    fsync(it->first);
+                }
+            } else if (kind < 85) {
+                const std::string path = randomPath();
+                const auto it = byPath.find(path);
+                const std::optional<Ino> want =
+                    it == byPath.end() ? std::nullopt
+                                       : std::optional<Ino>(it->second);
+                ASSERT_EQ(f.fs.lookupPath(path), want);
+            } else if (kind < 99) {
+                const std::string &prefix = prefixes[rng.below(
+                    prefixes.size())];
+                std::vector<std::string> want;
+                for (auto it = byPath.lower_bound(prefix);
+                     it != byPath.end()
+                     && it->first.compare(0, prefix.size(), prefix) == 0;
+                     ++it)
+                    want.push_back(it->first);
+                ASSERT_EQ(f.fs.list(prefix), want);
+            } else {
+                // Crash + recover: exactly the committed inodes
+                // survive, and every live one is evicted first, in
+                // ascending inode number.
+                std::vector<Ino> live;
+                for (const auto &[ino, path] : byIno) {
+                    (void)path;
+                    live.push_back(ino);
+                }
+                hooks.evicted.clear();
+                f.pmem.crash();
+                const RecoveryReport report = f.fs.recover();
+                recoveries++;
+                ASSERT_EQ(hooks.evicted, live);
+                EXPECT_EQ(report.inodesRestored, committed.size());
+                EXPECT_EQ(report.conflictBlocks, 0u);
+                byIno = committed;
+                dirty.clear();
+                byPath.clear();
+                for (const auto &[ino, path] : byIno)
+                    byPath[path] = ino;
+            }
+
+            // The file system agrees with the reference.
+            for (const auto &[ino, path] : byIno) {
+                ASSERT_TRUE(f.fs.exists(ino));
+                ASSERT_EQ(f.fs.inode(ino).path, path);
+                ASSERT_EQ(f.fs.lookupPath(path), std::optional<Ino>(ino));
+            }
+            std::vector<std::string> paths;
+            for (const auto &[path, ino] : byPath) {
+                (void)ino;
+                paths.push_back(path);
+            }
+            ASSERT_EQ(f.fs.list("/"), paths);
+            // The table holds exactly the live inodes, in ascending
+            // inode number.
+            std::vector<Ino> walked;
+            for (const auto &node : f.fs.inodeTable()) {
+                if (node != nullptr)
+                    walked.push_back(node->ino);
+            }
+            std::vector<Ino> want;
+            for (const auto &[ino, path] : byIno) {
+                (void)path;
+                want.push_back(ino);
+            }
+            ASSERT_EQ(walked, want);
+            ASSERT_FALSE(f.fs.exists(0));
+            ASSERT_FALSE(f.fs.exists(lastIssued + 1));
+            const auto problems = f.fs.fsck();
+            ASSERT_TRUE(problems.empty()) << problems.front();
+        }
+        // The sequence reached every branch, including recovery.
+        EXPECT_GT(lastIssued, 1000u);
+        EXPECT_GT(recoveries, 100);
+        EXPECT_FALSE(byIno.empty());
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sys/system.h"
@@ -195,6 +196,37 @@ TEST(Munmap, MiddleRangeAcrossManyVmas)
     ASSERT_TRUE(f.as->munmap(f.cpu, vas[5], end + 4096 - vas[5]));
     want[3] = {end + 4096, vas[9] + kLen, 9 * kLen + 3 * 4096};
     EXPECT_EQ(spans(), want);
+}
+
+TEST(ReverseMap, EntryLastsOnlyWhileItRecordsAMapping)
+{
+    Fixture f;
+    sim::Cpu cpu(nullptr, 0, 0);
+    const std::uint64_t len = 4 * 4096;
+    for (int i = 0; i < 100; i++) {
+        const std::string path = "/t" + std::to_string(i);
+        const fs::Ino ino = f.system.makeFile(path, len);
+        const std::uint64_t va = f.as->mmap(cpu, ino, 0, len, false, 0);
+        f.as->memRead(cpu, va, len, mem::Pattern::Seq);
+        ASSERT_TRUE(f.as->munmap(cpu, va, len));
+        ASSERT_TRUE(f.system.fs().unlink(cpu, path));
+    }
+    EXPECT_TRUE(f.system.vmm().mappedInodes().empty());
+
+    // A live mapping outlives the inode's VFS cache entry.
+    const fs::Ino ino = f.system.makeFile("/live", len);
+    const auto opened = f.system.vfs().open(cpu, "/live");
+    ASSERT_TRUE(opened.has_value());
+    const std::uint64_t va = f.as->mmap(cpu, ino, 0, len, false, 0);
+    f.system.vfs().close(cpu, ino);
+    f.system.vfs().dropCaches();
+    EXPECT_FALSE(f.system.vfs().isCached(ino));
+    EXPECT_EQ(f.system.vmm().mappedInodes(), std::vector<fs::Ino>{ino});
+    ASSERT_EQ(f.system.vmm().mappingsOf(ino).size(), 1u);
+    EXPECT_EQ(f.system.vmm().mappingsOf(ino)[0].vmaStart, va);
+    ASSERT_TRUE(f.as->munmap(cpu, va, len));
+    ASSERT_TRUE(f.system.fs().unlink(cpu, "/live"));
+    EXPECT_TRUE(f.system.vmm().mappedInodes().empty());
 }
 
 TEST(Munmap, ReturnsFalseWhenNothingMapped)
