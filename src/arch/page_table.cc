@@ -58,11 +58,14 @@ PageTable::walkTo(std::uint64_t va, int level, bool create,
             return e->pteNode;
     }
     Node *node = root_;
-    // Whether lookup() would reach this leaf table through private,
-    // present entries, and their writability: what the cache records.
-    bool cacheable = !node->shared;
+    // Whether lookup() would reach this leaf table through private
+    // interior nodes and present entries, and their writability: what
+    // the cache records. The leaf table itself may be shared (see
+    // WalkCache).
+    bool cacheable = true;
     bool writable = true;
     for (int l = kPgdLevel; l > level; l--) {
+        cacheable = cacheable && !node->shared;
         const unsigned idx = levelIndex(va, l);
         Node *next = node->child[idx];
         if (next == nullptr) {
@@ -79,7 +82,7 @@ PageTable::walkTo(std::uint64_t va, int level, bool create,
             const Pte e = node->entry(idx);
             if (pte::huge(e))
                 throw std::logic_error("walk through huge mapping");
-            cacheable = cacheable && pte::present(e) && !next->shared;
+            cacheable = cacheable && pte::present(e);
             writable = writable && pte::writable(e);
         }
         node = next;
@@ -161,15 +164,17 @@ PageTable::walkDown(std::uint64_t va, Node *node, int level,
 {
     WalkResult res;
     res.levelsTouched = kPgdLevel - level;
-    bool privatePath = !node->shared;
+    // Whether every interior node passed is process-owned (a walk that
+    // starts at a cached leaf table had its interior checked when the
+    // cache captured it). The leaf table itself may be shared.
+    bool privatePath = true;
     for (int l = level; l >= kPteLevel; l--) {
         res.levelsTouched++;
         const unsigned idx = levelIndex(va, l);
         const Pte e = node->entry(idx);
         if (l == kPteLevel && privatePath) {
-            // The path to this leaf table is all process-owned: the
-            // walk cache may capture it (upperWritable excludes the
-            // leaf entry, which cached walks re-read).
+            // The walk cache may capture this path (upperWritable
+            // excludes the leaf entry, which cached walks re-read).
             res.pteNode = node;
             res.upperWritable = writable;
             if (fillCache)
@@ -191,10 +196,10 @@ PageTable::walkDown(std::uint64_t va, Node *node, int level,
             res.writable = writable;
             return res;
         }
+        privatePath = privatePath && !node->shared;
         node = node->child[idx];
         if (node == nullptr)
             return res; // present interior entry without mirror: corrupt
-        privatePath = privatePath && !node->shared;
     }
     return res;
 }

@@ -69,10 +69,12 @@ struct WalkResult
     int levelsTouched = 0;
     /**
      * PTE-level node the walk ended in, as the table's walk cache
-     * records it. Only set when the whole path is owned by the walked
-     * table (no shared file-table fragments, whose owner may
-     * restructure them), and the walk reached PTE level -- huge leaves
-     * stay null.
+     * records it. Only set when the walk reached PTE level (huge
+     * leaves stay null) through interior nodes owned by the walked
+     * table. The node itself may be shared: a file-table PTE page
+     * attached at PMD level, whose owner only rewrites its entries. A
+     * shared interior node (a PUD-level attachment, whose owner
+     * re-points its entries) leaves it null.
      */
     const Node *pteNode = nullptr;
     /** AND of writability across interior levels (leaf excluded). */
@@ -178,8 +180,8 @@ class PageTable
     /**
      * Translate @p va from @p node at @p level, reached through
      * upper levels whose writability AND is @p writable. With
-     * @p fillCache, a wholly private path to the leaf table is
-     * recorded in the walk cache.
+     * @p fillCache, a path to the leaf table through private interior
+     * nodes is recorded in the walk cache.
      */
     WalkResult walkDown(std::uint64_t va, Node *node, int level,
                         bool writable, bool fillCache) const;

@@ -21,9 +21,22 @@
  *    a huge entry;
  *  - leaf PTEs are re-read on every hit, so PTE-level mutations
  *    (4 KB map/clear/permission flips) need no invalidation at all;
- *  - paths through shared file-table fragments are never cached
- *    (the table leaves WalkResult::pteNode null for them), because
- *    their owner restructures them without touching this table.
+ *  - the leaf table may be a shared file-table PTE page attached at
+ *    PMD level (DaxVM's 2 MB granule): its owner only rewrites that
+ *    page's entries, which every hit re-reads, and detaching it bumps
+ *    the generation;
+ *  - a path through a shared interior node is never cached (the
+ *    table leaves WalkResult::pteNode null for it): the owner of a
+ *    PMD page attached at PUD level re-points that page's entries
+ *    without touching this table.
+ *
+ * A cached shared leaf rests on one invariant, which DaxVM keeps: an
+ * attached file-table node is never freed while a process tree points
+ * at it. The VFS keeps a mapped inode cached (so eviction cannot free
+ * its volatile table or DRAM mirror), a media repair rewrites entries
+ * in place instead of emptying the page, and a table rebuilt in PMem
+ * or migrated to DRAM takes over every attachment before the old
+ * nodes go (DaxVm::reattachFile()).
  *
  * The hit/fill counters are host-side diagnostics for tests and stay
  * out of the metrics registry, keeping snapshots bit-identical with
@@ -64,7 +77,7 @@ class WalkCache
         return &e;
     }
 
-    /** Remember a completed, wholly private walk to a leaf table. */
+    /** Remember a completed walk through private interior nodes. */
     void
     fill(std::uint64_t va, std::uint64_t gen, Node *pteNode,
          bool upperWritable)

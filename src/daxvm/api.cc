@@ -27,6 +27,12 @@ remapFixupTrampoline(void *ctx, sim::Cpu &cpu, fs::Ino ino,
     static_cast<DaxVm *>(ctx)->remapFixupFile(cpu, ino, fileBlock);
 }
 
+void
+reattachTrampoline(void *ctx, sim::Cpu &cpu, fs::Ino ino)
+{
+    static_cast<DaxVm *>(ctx)->reattachFile(cpu, ino);
+}
+
 } // namespace
 
 DaxVm::DaxVm(vm::VmManager &vmm, FileTableManager &tables)
@@ -35,6 +41,7 @@ DaxVm::DaxVm(vm::VmManager &vmm, FileTableManager &tables)
 {
     tables_.setForceUnmap(&forceUnmapTrampoline, this);
     tables_.setRemapFixup(&remapFixupTrampoline, this);
+    tables_.setReattach(&reattachTrampoline, this);
     sim::MetricsScope scope(vmm_.metricsRegistry(), "daxvm");
     counters_.mmap = scope.counter("mmap");
     counters_.mmapEphemeral = scope.counter("mmap_ephemeral");
@@ -50,6 +57,7 @@ DaxVm::~DaxVm()
 {
     tables_.setForceUnmap(nullptr, nullptr);
     tables_.setRemapFixup(nullptr, nullptr);
+    tables_.setReattach(nullptr, nullptr);
 }
 
 int
@@ -390,7 +398,7 @@ bool
 DaxVm::pollMonitor(sim::Cpu &cpu, vm::AddressSpace &as, fs::Ino ino)
 {
     const sim::CostModel &cm = vmm_.cm();
-    auto &snap = monitor_[&as];
+    auto &snap = monitor_[as.asid()];
     const arch::MmuPerf &perf = as.perf();
     const std::uint64_t misses = perf.tlbMisses - snap.tlbMisses;
     const sim::Time walkNs = perf.walkNs - snap.walkNs;
@@ -410,17 +418,16 @@ DaxVm::pollMonitor(sim::Cpu &cpu, vm::AddressSpace &as, fs::Ino ino)
         return false;
     }
     tables_.migrateToDram(cpu, ino);
-    remapToMirror(cpu, ino);
+    if (tables_.tables(&cpu, ino).useMirror)
+        reattachFile(cpu, ino);
     counters_.monitorMigrations.addAt(cpu.coreId());
     return true;
 }
 
 void
-DaxVm::remapToMirror(sim::Cpu &cpu, fs::Ino ino)
+DaxVm::reattachFile(sim::Cpu &cpu, fs::Ino ino)
 {
-    InodeTables &it = tables_.tables(&cpu, ino);
-    if (!it.useMirror || it.dramMirror == nullptr)
-        return;
+    FileTable *table = tables_.tables(&cpu, ino).active();
     const auto refs = vmm_.mappingsOf(ino);
     for (const auto &ref : refs) {
         vm::Vma *vma = ref.as->findVma(ref.vmaStart);
@@ -438,9 +445,8 @@ DaxVm::remapToMirror(sim::Cpu &cpu, fs::Ino ino)
                 continue;
             arch::Node *node =
                 vma->attachLevel == arch::kPudLevel
-                    ? it.dramMirror->pmdNode(fileOff >> 30)
-                    : it.dramMirror->pteNode(fileOff
-                                             / mem::kHugePageSize);
+                    ? table->pmdNode(fileOff >> 30)
+                    : table->pteNode(fileOff / mem::kHugePageSize);
             if (node != nullptr) {
                 pt.attach(va, vma->attachLevel, node, writable);
                 cpu.advance(vmm_.cm().tableAttach);

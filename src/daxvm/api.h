@@ -67,6 +67,16 @@ class DaxVm
                         std::uint64_t fileBlock);
 
     /**
+     * Point every live attachment of @p ino at the node for the same
+     * granule in the inode's active table (InodeTables::active()).
+     * The caller guarantees that the active table translates exactly
+     * as the attached one did, so no TLB is flushed. Serves
+     * DRAM-mirror migration and, as the FileTableManager re-attach
+     * callback, a volatile table rebuilt in PMem.
+     */
+    void reattachFile(sim::Cpu &cpu, fs::Ino ino);
+
+    /**
      * MMU monitor poll (Table III): evaluates the per-process walk
      * counters and migrates @p ino's tables to DRAM when the rule
      * fires. @return true when a migration happened.
@@ -102,9 +112,6 @@ class DaxVm
      */
     std::uint64_t reap(sim::Cpu &cpu, vm::AddressSpace &as, vm::Vma &vma);
 
-    /** Swap a mapping's attachments to the inode's DRAM mirror. */
-    void remapToMirror(sim::Cpu &cpu, fs::Ino ino);
-
     vm::VmManager &vmm_;
     FileTableManager &tables_;
     AsyncUnmapper unmapper_;
@@ -128,7 +135,12 @@ class DaxVm
         sim::Time walkNs = 0;
         sim::Time execNs = 0;
     };
-    std::map<vm::AddressSpace *, MonitorSnap> monitor_;
+    /**
+     * Keyed by ASID, which is never reused, not by the AddressSpace's
+     * address, which the heap reuses: no process may start from a
+     * dead one's snapshot.
+     */
+    std::map<arch::Asid, MonitorSnap> monitor_;
 };
 
 } // namespace dax::daxvm

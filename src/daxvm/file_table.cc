@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "arch/pte.h"
 
@@ -78,7 +79,7 @@ FileTable::chargePersist(sim::Cpu *cpu, std::uint64_t entries)
     cpu->advance(cm_.tablePersistLine * lines);
 }
 
-arch::Node *
+FileTable::Chunk &
 FileTable::ensurePte(sim::Cpu *cpu, std::uint64_t chunk)
 {
     Chunk &state = chunks_[chunk];
@@ -90,7 +91,7 @@ FileTable::ensurePte(sim::Cpu *cpu, std::uint64_t chunk)
         chargePersist(cpu, 1);
         syncPmdEntry(chunk);
     }
-    return state.pte;
+    return state;
 }
 
 void
@@ -142,11 +143,13 @@ FileTable::populate(sim::Cpu *cpu, std::uint64_t fileBlock,
                 arch::pte::make(pa, kLeafFlags | arch::pte::kHuge);
             chargePersist(cpu, 1);
         } else {
-            arch::Node *pte = ensurePte(cpu, chunk);
+            Chunk &state = ensurePte(cpu, chunk);
             for (std::uint64_t i = 0; i < n; i++) {
-                pte->setEntry(static_cast<unsigned>(inChunk + i),
-                              arch::pte::make(pa + i * fs::kBlockSize,
-                                              kLeafFlags));
+                const auto idx = static_cast<unsigned>(inChunk + i);
+                state.pte->setEntry(
+                    idx, arch::pte::make(pa + i * fs::kBlockSize,
+                                         kLeafFlags));
+                state.present.set(idx);
             }
             chargePersist(cpu, n);
         }
@@ -174,19 +177,13 @@ FileTable::clearRange(sim::Cpu *cpu, std::uint64_t fileBlock,
             Chunk &state = it->second;
             if (state.pte != nullptr) {
                 for (std::uint64_t i = 0; i < n; i++) {
-                    state.pte->setEntry(
-                        static_cast<unsigned>(inChunk + i), 0);
+                    const auto idx = static_cast<unsigned>(inChunk + i);
+                    state.pte->setEntry(idx, 0);
+                    state.present.reset(idx);
                 }
                 chargePersist(cpu, n);
                 // Release the PTE page once its last entry clears.
-                bool empty = true;
-                for (unsigned i = 0; i < arch::kEntriesPerNode; i++) {
-                    if (arch::pte::present(state.pte->entry(i))) {
-                        empty = false;
-                        break;
-                    }
-                }
-                if (empty) {
+                if (state.present.none()) {
                     freeNode(state.pte);
                     chunks_.erase(it);
                 }
@@ -479,6 +476,8 @@ FileTableManager::onBlocksAllocated(sim::Cpu &cpu, fs::Inode &inode,
     // Populating below may allocate (and durably zero) table frames.
     beginUpdate(inode);
     const bool wantPersistent = persistentPolicy(inode);
+    // A replaced table is freed only after its attachments moved.
+    std::unique_ptr<FileTable> retired;
     if (t->table == nullptr) {
         auto &frames = wantPersistent ? pmemFrames_ : dramFrames_;
         t->table = std::make_unique<FileTable>(frames, wantPersistent,
@@ -504,7 +503,9 @@ FileTableManager::onBlocksAllocated(sim::Cpu &cpu, fs::Inode &inode,
                                     fs_.blockAddr(0));
             }
         }
-        t->table = std::move(persisted);
+        retired = std::exchange(t->table, std::move(persisted));
+        if (reattach_ != nullptr)
+            reattach_(reattachCtx_, cpu, inode.ino);
     }
     t->table->populate(&cpu, fileBlock, extent, fs_.blockAddr(0));
     if (t->useMirror && t->dramMirror != nullptr)
@@ -573,7 +574,8 @@ FileTableManager::onBlocksRemapped(sim::Cpu &cpu, fs::Inode &inode,
                                 fs_.blockAddr(0));
             }
         } else {
-            table->clearRange(tcpu, fileBlock, newExtent.count);
+            // Overwrite the entries in place: clearing them first could
+            // empty, and free, a PTE page a process is attached to.
             table->populate(tcpu, fileBlock, newExtent,
                             fs_.blockAddr(0));
         }

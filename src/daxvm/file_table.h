@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <bitset>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -57,7 +58,10 @@ class FileTable
     void populate(sim::Cpu *cpu, std::uint64_t fileBlock,
                   const fs::Extent &extent, std::uint64_t blockAddrBase);
 
-    /** Clear translations for [fileBlock, fileBlock+count). */
+    /**
+     * Clear translations for [fileBlock, fileBlock+count). A PTE page
+     * whose last present entry clears is freed.
+     */
     void clearRange(sim::Cpu *cpu, std::uint64_t fileBlock,
                     std::uint64_t count);
 
@@ -92,11 +96,19 @@ class FileTable
     {
         arch::Node *pte = nullptr;
         arch::Pte huge = 0;
+        /**
+         * Host-only record of which entries of pte are present, kept
+         * by populate() (which may rewrite a present entry in place)
+         * and clearRange(), so that emptiness needs no reload of the
+         * page's 512 words.
+         */
+        std::bitset<arch::kEntriesPerNode> present;
     };
 
     arch::Node *newNode(bool leaf);
     void freeNode(arch::Node *node);
-    arch::Node *ensurePte(sim::Cpu *cpu, std::uint64_t chunk);
+    /** @p chunk's state, with a PTE page allocated if it had none. */
+    Chunk &ensurePte(sim::Cpu *cpu, std::uint64_t chunk);
     /** Keep a materialized PMD node's entry for @p chunk in sync. */
     void syncPmdEntry(std::uint64_t chunk);
     /** Charge a batched persistent PTE flush for @p entries updates. */
@@ -280,6 +292,21 @@ class FileTableManager : public fs::FsHooks
         remapFixupCtx_ = ctx;
     }
 
+    /**
+     * Re-attach callback installed by the DaxVm facade: the table
+     * serving @p ino was replaced by one with identical translations
+     * (a volatile table rebuilt in PMem), so every live attachment
+     * must move to the new table's nodes before the old ones are
+     * freed.
+     */
+    using Reattach = void (*)(void *ctx, sim::Cpu &cpu, fs::Ino ino);
+    void
+    setReattach(Reattach fn, void *ctx)
+    {
+        reattach_ = fn;
+        reattachCtx_ = ctx;
+    }
+
   private:
     bool persistentPolicy(const fs::Inode &inode) const;
     void buildFromExtents(sim::Cpu *cpu, fs::Inode &inode,
@@ -307,6 +334,8 @@ class FileTableManager : public fs::FsHooks
     void *forceUnmapCtx_ = nullptr;
     RemapFixup remapFixup_ = nullptr;
     void *remapFixupCtx_ = nullptr;
+    Reattach reattach_ = nullptr;
+    void *reattachCtx_ = nullptr;
     sim::FaultPlan *plan_ = nullptr;
     /** Typed instruments in the file system's registry. */
     sim::Counter tableRebuilds_;

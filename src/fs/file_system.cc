@@ -492,6 +492,13 @@ FileSystem::notifyEvict(Inode &inode)
         h->onInodeEvict(inode);
 }
 
+bool
+FileSystem::inodeHeld(const Inode &inode) const
+{
+    return std::any_of(hooks_.begin(), hooks_.end(),
+                       [&](const FsHooks *h) { return h->holdsInode(inode); });
+}
+
 void
 FileSystem::removeHooks(FsHooks *hooks)
 {

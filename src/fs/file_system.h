@@ -100,6 +100,18 @@ class FsHooks
     virtual void onInodeEvict(Inode &inode) = 0;
 
     /**
+     * True while this hook holds a reference that keeps @p inode in
+     * the VFS cache, as a VMA's file reference keeps a Linux inode in
+     * the icache: eviction skips the inode, so the volatile state that
+     * onInodeEvict() would destroy outlives every mapping of it.
+     */
+    virtual bool holdsInode(const Inode &inode) const
+    {
+        (void)inode;
+        return false;
+    }
+
+    /**
      * One file block of @p inode was remapped in place (media-error
      * repair): it now lives at @p newExtent instead of @p oldExtent,
      * with identical file offset. The extent tree is already updated;
@@ -200,6 +212,9 @@ class FileSystem
 
     /** Notify hooks that @p inode is losing its volatile state. */
     void notifyEvict(Inode &inode);
+
+    /** True while a hook holds @p inode (FsHooks::holdsInode()). */
+    bool inodeHeld(const Inode &inode) const;
 
     /**
      * Commit metadata (data is already persistent on DAX writes), after

@@ -60,7 +60,7 @@ Vfs::evictIfNeeded()
             // An unlinked inode has already notified the hooks.
             if (fs_.exists(*it)) {
                 Inode &node = fs_.inode(*it);
-                if (node.pins > 0)
+                if (node.pins > 0 || fs_.inodeHeld(node))
                     continue;
                 fs_.notifyEvict(node);
             }
@@ -81,7 +81,7 @@ Vfs::dropCaches()
         // An unlinked inode has already notified the hooks.
         if (fs_.exists(*it)) {
             Inode &node = fs_.inode(*it);
-            if (node.pins > 0) {
+            if (node.pins > 0 || fs_.inodeHeld(node)) {
                 ++it;
                 continue;
             }

@@ -37,7 +37,10 @@ class Vfs
     /** Open @p path; nullopt when it does not exist. Pins the inode. */
     std::optional<OpenResult> open(sim::Cpu &cpu, const std::string &path);
 
-    /** Close (unpin); inode stays cached until evicted. */
+    /**
+     * Close (unpin); inode stays cached until evicted. LRU eviction,
+     * like dropCaches(), skips pinned inodes and inodes a hook holds.
+     */
     void close(sim::Cpu &cpu, Ino ino);
 
     bool isCached(Ino ino) const { return cache_.count(ino) != 0; }
@@ -46,9 +49,10 @@ class Vfs
     std::uint64_t warmOpens() const { return warmOpens_; }
 
     /**
-     * Drop every unpinned inode (e.g. memory-pressure simulation).
-     * Entries of unlinked inodes go too, without an evict notification:
-     * unlink already sent one.
+     * Drop every unpinned inode that no hook holds (a mapped inode
+     * stays; see FsHooks::holdsInode()), e.g. memory-pressure
+     * simulation. Entries of unlinked inodes go too, without an evict
+     * notification: unlink already sent one.
      */
     void dropCaches();
 

@@ -122,6 +122,12 @@ class VmManager : public fs::FsHooks
                          std::uint64_t fileBlock,
                          const fs::Extent &extent) override;
     void onInodeEvict(fs::Inode &inode) override;
+    /** A mapped inode stays cached (its file tables stay attached). */
+    bool
+    holdsInode(const fs::Inode &inode) const override
+    {
+        return !mappingsOf(inode.ino).empty();
+    }
 
     // Plumbing -----------------------------------------------------------
     const sim::CostModel &cm() const { return cm_; }

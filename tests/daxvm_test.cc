@@ -248,6 +248,249 @@ TEST(FileTables, PersistingAMergedTailPopulatesEachBlockOnce)
     EXPECT_EQ(rebuild.now(), single.now());
 }
 
+TEST(FileTables, EmptinessMatchesFullScan)
+{
+    // clearRange() frees a PTE page when the table's host-side record
+    // says the page is empty. After every seeded populate, clearRange
+    // and in-place remap, a reference that scans all 512 entries of
+    // every page must agree on which chunks hold a page, and the
+    // table's node count and frame use must match it.
+    sim::CostModel cm;
+    mem::Device dram(mem::Kind::Dram, 16ULL << 20, cm,
+                     mem::Backing::Sparse);
+    mem::FrameAllocator frames(dram, 0, 16ULL << 20);
+    constexpr std::uint64_t kChunks = 3;
+    constexpr std::uint64_t kBlocks = kChunks * fs::kBlocksPerHuge;
+    constexpr std::uint64_t kNone = ~0ULL;
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        sim::Rng rng(seed);
+        FileTable table(frames, /*persistent=*/false, cm);
+        // Physical block each file block translates to, or kNone.
+        std::vector<std::uint64_t> ref(kBlocks, kNone);
+        std::uint64_t remaps = 0;
+        std::uint64_t pageFrees = 0;
+        for (int step = 0; step < 3000; step++) {
+            const auto op = rng.below(3);
+            // A few dozen blocks at each end of a chunk, so pages fill
+            // and empty often; runs from the top end cross into the
+            // next chunk. No run spans a whole chunk, so no chunk
+            // becomes a huge entry.
+            const std::uint64_t fb =
+                rng.below(kChunks) * fs::kBlocksPerHuge
+                + (rng.below(2) == 0 ? rng.below(24)
+                                     : fs::kBlocksPerHuge - 12
+                                           + rng.below(12));
+            const std::uint64_t n = std::min<std::uint64_t>(
+                1 + rng.below(op == 1 ? 32 : 8), kBlocks - fb);
+            const std::uint64_t phys = 1 + rng.below(1ULL << 20);
+            const std::uint64_t pagesBefore = table.nodeCount();
+            if (op == 0) {
+                table.populate(nullptr, fb, {phys, n}, 0);
+                for (std::uint64_t i = 0; i < n; i++)
+                    ref[fb + i] = phys + i;
+            } else if (op == 1) {
+                table.clearRange(nullptr, fb, n);
+                for (std::uint64_t i = 0; i < n; i++)
+                    ref[fb + i] = kNone;
+                pageFrees += pagesBefore - table.nodeCount();
+            } else if (ref[fb] != kNone) {
+                // Media repair: one present entry swapped in place.
+                table.populate(nullptr, fb, {phys, 1}, 0);
+                ref[fb] = phys;
+                remaps++;
+            }
+
+            std::uint64_t pages = 0;
+            for (std::uint64_t c = 0; c < kChunks; c++) {
+                bool any = false;
+                for (std::uint64_t i = 0; i < fs::kBlocksPerHuge; i++)
+                    any = any || ref[c * fs::kBlocksPerHuge + i] != kNone;
+                const arch::Node *page = table.pteNode(c);
+                ASSERT_EQ(page != nullptr, any)
+                    << "seed " << seed << " step " << step << " chunk "
+                    << c;
+                if (page == nullptr)
+                    continue;
+                pages++;
+                for (unsigned i = 0; i < arch::kEntriesPerNode; i++) {
+                    const std::uint64_t want =
+                        ref[c * fs::kBlocksPerHuge + i];
+                    const arch::Pte e = page->entry(i);
+                    ASSERT_EQ(arch::pte::present(e), want != kNone)
+                        << "seed " << seed << " step " << step;
+                    if (want != kNone) {
+                        ASSERT_EQ(arch::pte::addr(e),
+                                  want * fs::kBlockSize);
+                    }
+                }
+            }
+            ASSERT_EQ(table.nodeCount(), pages) << "step " << step;
+            ASSERT_EQ(frames.allocated(), pages) << "step " << step;
+        }
+        EXPECT_GT(remaps, 100u);
+        EXPECT_GT(pageFrees, 10u);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Attached nodes outlive their attachments. Each test reads through a
+// mapping after an event that used to free the file-table node the
+// process tree points at (a heap-use-after-free under ASan).
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Read @p len bytes of @p ino at @p va and check its fill pattern. */
+void
+expectPattern(vm::AddressSpace &as, sim::Cpu &cpu, std::uint64_t va,
+              fs::Ino ino, std::uint64_t len)
+{
+    std::vector<std::uint8_t> buf(len);
+    as.memRead(cpu, va, len, mem::Pattern::Seq, buf.data());
+    for (std::uint64_t i = 0; i < len; i += 511)
+        ASSERT_EQ(buf[i], sys::System::patternByte(ino, i)) << i;
+}
+
+} // namespace
+
+TEST(TableLifetime, LiveMappingKeepsTheInodeCached)
+{
+    // As in Linux, where the mapping's file reference pins the inode:
+    // neither remount() nor dropCaches() may evict a mapped inode and
+    // take its volatile table with it.
+    Fixture f;
+    constexpr std::uint64_t kLen = 16 * 1024;
+    const fs::Ino ino = f.system.makeFile("/small", kLen, kLen);
+    ASSERT_TRUE(f.system.open(f.cpu, "/small").has_value());
+    const std::uint64_t va =
+        f.dax().mmap(f.cpu, *f.as, ino, 0, kLen, false, 0);
+    ASSERT_NE(va, 0u);
+    f.system.vfs().close(f.cpu, ino);
+
+    f.system.remount();
+    EXPECT_TRUE(f.system.vfs().isCached(ino));
+    expectPattern(*f.as, f.cpu, va, ino, kLen);
+    f.system.vfs().dropCaches();
+    EXPECT_TRUE(f.system.vfs().isCached(ino));
+    expectPattern(*f.as, f.cpu, va, ino, kLen);
+
+    // Unmapped, the inode goes and its volatile table with it.
+    ASSERT_TRUE(f.dax().munmap(f.cpu, *f.as, va));
+    f.system.remount();
+    EXPECT_FALSE(f.system.vfs().isCached(ino));
+    auto *t = dynamic_cast<InodeTables *>(
+        f.system.fs().inode(ino).priv.get());
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->table, nullptr);
+}
+
+TEST(TableLifetime, LruEvictionSkipsMappedInodes)
+{
+    sys::SystemConfig config = daxConfig();
+    config.inodeCacheCapacity = 1;
+    sys::System system(config);
+    auto as = system.newProcess();
+    sim::Cpu cpu(nullptr, 0, 0);
+    constexpr std::uint64_t kLen = 16 * 1024;
+    const fs::Ino a = system.makeFile("/a", kLen, kLen);
+    const fs::Ino b = system.makeFile("/b", kLen, kLen);
+    ASSERT_TRUE(system.open(cpu, "/a").has_value());
+    const std::uint64_t va =
+        system.dax()->mmap(cpu, *as, a, 0, kLen, false, 0);
+    ASSERT_NE(va, 0u);
+    system.vfs().close(cpu, a);
+
+    // Opening /b overflows the cache; /a is unpinned but mapped.
+    ASSERT_TRUE(system.open(cpu, "/b").has_value());
+    EXPECT_TRUE(system.vfs().isCached(a));
+    expectPattern(*as, cpu, va, a, kLen);
+    system.vfs().close(cpu, b);
+
+    // Unmapped, /a is the LRU victim of the next cold open.
+    ASSERT_TRUE(system.dax()->munmap(cpu, *as, va));
+    system.makeFile("/c", kLen);
+    ASSERT_TRUE(system.open(cpu, "/c").has_value());
+    EXPECT_FALSE(system.vfs().isCached(a));
+}
+
+TEST(TableLifetime, GrowingAMappedFileRepointsItsAttachment)
+{
+    // Past the volatile limit the table is rebuilt in PMem; the
+    // process must be re-pointed at the new PTE page before the DRAM
+    // one is freed.
+    Fixture f;
+    sim::Cpu cpu(nullptr, 0, 0);
+    fs::FileSystem &fs = f.system.fs();
+    const fs::Ino ino = fs.create(cpu, "/grow");
+    ASSERT_TRUE(fs.fallocate(cpu, ino, 0, 16 * 1024));
+    const std::uint64_t va =
+        f.dax().mmap(cpu, *f.as, ino, 0, 16 * 1024, false, 0);
+    ASSERT_NE(va, 0u);
+    f.as->memRead(cpu, va, 16 * 1024, mem::Pattern::Seq);
+    ASSERT_FALSE(
+        f.system.fileTables()->tables(&cpu, ino).table->persistent());
+
+    constexpr std::uint64_t kGrown = 16 * 1024 + 256 * 1024;
+    ASSERT_TRUE(fs.fallocate(cpu, ino, 16 * 1024, 256 * 1024));
+    auto &tables = f.system.fileTables()->tables(&cpu, ino);
+    ASSERT_TRUE(tables.table->persistent());
+    arch::PageTable &pt = f.as->pageTable();
+    EXPECT_EQ(pt.attachedNode(va, arch::kPmdLevel),
+              tables.table->pteNode(0));
+    for (std::uint64_t off = 0; off < kGrown; off += mem::kPageSize) {
+        const arch::WalkResult walk = pt.lookup(va + off);
+        ASSERT_TRUE(walk.present) << off;
+        EXPECT_EQ(walk.paddr,
+                  fs.blockAddr(
+                      fs.inode(ino).find(off / fs::kBlockSize)->physBlock))
+            << off;
+        EXPECT_FALSE(walk.leafInDram) << off;
+    }
+    // The process reads what it mapped through the MMU, then unmaps.
+    f.as->memRead(cpu, va, 16 * 1024, mem::Pattern::Seq);
+    ASSERT_TRUE(f.dax().munmap(cpu, *f.as, va));
+}
+
+TEST(TableLifetime, RepairingTheOnlyEntryOfAnAttachedPageKeepsThePage)
+{
+    // A 4 KB file's PTE page holds one entry. Repairing its block
+    // swaps that entry in place; clearing it first would empty, and
+    // free, the page the process is attached to.
+    sys::SystemConfig config = daxConfig();
+    config.mediaPolicy = fs::MediaPolicy::RemapZero;
+    sys::System system(config);
+    auto as = system.newProcess();
+    sim::Cpu cpu(nullptr, 0, 0);
+    const fs::Ino ino = system.makeFile("/one", 4096, 4096);
+    const std::uint64_t va =
+        system.dax()->mmap(cpu, *as, ino, 0, 4096, false, 0);
+    ASSERT_NE(va, 0u);
+    auto &tables = system.fileTables()->tables(&cpu, ino);
+    arch::Node *page = tables.table->pteNode(0);
+    ASSERT_NE(page, nullptr);
+    arch::PageTable &pt = as->pageTable();
+    ASSERT_EQ(pt.attachedNode(va, arch::kPmdLevel), page);
+    as->memRead(cpu, va, 64, mem::Pattern::Seq);
+
+    fs::FileSystem &fs = system.fs();
+    const std::uint64_t oldPa = fs.blockAddr(fs.inode(ino).find(0)->physBlock);
+    system.pmem().poisonLine(oldPa);
+    std::uint8_t got = 0xff;
+    as->memRead(cpu, va, 1, mem::Pattern::Rand, &got);
+    EXPECT_EQ(got, 0u);
+    EXPECT_EQ(fs.mceRepaired(), 1u);
+
+    const std::uint64_t newPa =
+        fs.blockAddr(fs.inode(ino).find(0)->physBlock);
+    EXPECT_NE(newPa, oldPa);
+    EXPECT_EQ(tables.table->pteNode(0), page);
+    EXPECT_EQ(pt.attachedNode(va, arch::kPmdLevel), page);
+    const arch::WalkResult walk = pt.lookup(va);
+    ASSERT_TRUE(walk.present);
+    EXPECT_EQ(walk.paddr, newPa);
+    EXPECT_EQ(walk, pt.walkFromRoot(va));
+}
+
 // ---------------------------------------------------------------------
 // daxvm_mmap semantics
 // ---------------------------------------------------------------------
@@ -735,6 +978,31 @@ TEST(Monitor, RuleFiresOnFragmentedFileAndMigrationHelps)
     } else {
         GTEST_SKIP() << "image not fragmented enough to trip the rule";
     }
+}
+
+TEST(Monitor, ExitedProcessLeavesNoSnapshotToTheNext)
+{
+    // The monitor keeps one counter snapshot per process. Were it
+    // keyed by the AddressSpace's heap address, the next process the
+    // allocator placed there would start from a dead one's snapshot:
+    // its unsigned deltas would wrap, and simulated output would
+    // depend on host allocation.
+    Fixture f;
+    const fs::Ino ino = f.system.makeFile("/small", 16 * 1024);
+    for (int i = 0; i < 3; i++) {
+        auto doomed = f.system.newProcess();
+        // A million cheap walks: the poll stays quiet and records them.
+        doomed->perf().tlbMisses = 1000000;
+        doomed->perf().walkNs = 1000000;
+        doomed->chargeExec(1000000000);
+        ASSERT_FALSE(f.dax().pollMonitor(f.cpu, *doomed, ino));
+    }
+    // 100 walks of 1 us over 200 us of execution trip the rule.
+    auto next = f.system.newProcess();
+    next->perf().tlbMisses = 100;
+    next->perf().walkNs = 100000;
+    next->chargeExec(200000);
+    EXPECT_TRUE(f.dax().pollMonitor(f.cpu, *next, ino));
 }
 
 TEST(Monitor, NoMigrationForDramTables)

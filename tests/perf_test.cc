@@ -4,8 +4,8 @@
  * cache and VMA cache are observationally pure (bit-identical
  * simulated output with SystemConfig::hostFastPaths on vs off), unit
  * tests for every invalidation edge the caches depend on (munmap,
- * mprotect, attach/detach, fork-style table duplication, table
- * teardown/ASID reuse), the TLB's huge count and live-slot list
+ * mprotect, attach/detach, shared leaf and interior tables, fork-style
+ * table duplication, table teardown/ASID reuse), the TLB's huge count and live-slot list
  * against a plain TLB, and a randomized cross-check of the
  * open-addressed FlatHash64 against std::unordered_map.
  */
@@ -222,39 +222,79 @@ TEST(WalkCache, MprotectStyleWriteBitDropIsVisible)
               Mmu::Outcome::Ok);
 }
 
-TEST(WalkCache, SharedAttachmentsAreNeverCachedAndDetachIsVisible)
+TEST(WalkCache, SharedLeafIsCachedSharedInteriorIsNotAndDetachIsVisible)
 {
     ArchFixture f;
-    // A DaxVM-style file table in PMem whose PTE node gets attached
-    // into the process tree at a PMD slot (2 MB granule).
+    // A DaxVM-style file table in PMem: a PTE page, which a process
+    // attaches at a PMD slot (2 MB granule), under a PMD page, which a
+    // process attaches at a PUD slot (1 GB granule).
     PageTable filePt(f.pmemFrames);
     filePt.map(0, 0x40000, kPteLevel, pte::kWrite);
-    Node *fileNode = filePt.root()->child[0]->child[0]->child[0];
+    Node *filePmd = filePt.root()->child[0]->child[0];
+    Node *fileNode = filePmd->child[0];
     ASSERT_NE(fileNode, nullptr);
-    fileNode->shared = true; // owned by the file table, as in daxvm
+    filePmd->shared = true; // owned by the file table, as in daxvm
+    fileNode->shared = true;
 
     PageTable procPt(f.dramFrames);
+    Mmu mmu(f.cm);
+    MmuPerf perf;
+    auto cpu = cpuOn(0);
+
+    // PMD level: only the leaf table is shared. Its owner rewrites
+    // entries but never re-points it, so the path is cached...
     const std::uint64_t va = 2ULL << 20;
     const std::uint64_t gen0 = procPt.structureGen();
     ASSERT_GT(procPt.attach(va, kPmdLevel, fileNode, true), 0u);
     EXPECT_GT(procPt.structureGen(), gen0);
-
-    Mmu mmu(f.cm);
-    MmuPerf perf;
-    auto cpu = cpuOn(0);
     ASSERT_EQ(mmu.translate(cpu, procPt, va, false, 1, perf).outcome,
               Mmu::Outcome::Ok);
-    // The path runs through a shared node: it must never be cached,
-    // because the file table's owner may restructure it underneath.
-    EXPECT_EQ(procPt.walkCache().fills(), 0u);
+    EXPECT_EQ(procPt.walkCache().fills(), 1u);
+    EXPECT_EQ(procPt.walkCache().hits(), 0u);
+    const WalkResult cached = procPt.lookup(va);
+    EXPECT_EQ(procPt.walkCache().hits(), 1u);
+    EXPECT_EQ(cached.pteNode, fileNode);
+    EXPECT_EQ(cached, procPt.walkFromRoot(va));
 
+    // ...and every hit re-reads the owner's entries.
+    const Pte leaf = fileNode->entry(0);
+    fileNode->setEntry(0, 0);
+    mmu.tlb().invalidatePage(va, 1);
+    EXPECT_EQ(mmu.translate(cpu, procPt, va, false, 1, perf).outcome,
+              Mmu::Outcome::NotPresent);
+    EXPECT_EQ(procPt.walkCache().hits(), 2u);
+    fileNode->setEntry(0, leaf);
+    EXPECT_EQ(mmu.translate(cpu, procPt, va, false, 1, perf).outcome,
+              Mmu::Outcome::Ok);
+    EXPECT_EQ(procPt.walkCache().hits(), 3u);
+
+    // Detach bumps the generation: the cached path is gone.
     const std::uint64_t gen1 = procPt.structureGen();
     EXPECT_EQ(procPt.detach(va, kPmdLevel), fileNode);
     EXPECT_GT(procPt.structureGen(), gen1);
     mmu.tlb().invalidatePage(va, 1);
     EXPECT_EQ(mmu.translate(cpu, procPt, va, false, 1, perf).outcome,
               Mmu::Outcome::NotPresent);
-    // Hand the node back to its owner so filePt's teardown frees it.
+    EXPECT_EQ(procPt.walkCache().hits(), 3u);
+
+    // PUD level: the shared PMD page is interior, and its owner
+    // re-points its entries behind this table's back, so the path is
+    // never cached.
+    const std::uint64_t gva = 1ULL << 30;
+    procPt.attach(gva, kPudLevel, filePmd, true);
+    const std::uint64_t fills = procPt.walkCache().fills();
+    ASSERT_EQ(mmu.translate(cpu, procPt, gva, false, 1, perf).outcome,
+              Mmu::Outcome::Ok);
+    EXPECT_EQ(procPt.lookup(gva).pteNode, nullptr);
+    EXPECT_EQ(procPt.walkCache().fills(), fills);
+    EXPECT_EQ(procPt.walkCache().hits(), 3u);
+    EXPECT_EQ(procPt.detach(gva, kPudLevel), filePmd);
+    mmu.tlb().invalidatePage(gva, 1);
+    EXPECT_EQ(mmu.translate(cpu, procPt, gva, false, 1, perf).outcome,
+              Mmu::Outcome::NotPresent);
+    // Hand the nodes back to their owner so filePt's teardown frees
+    // them.
+    filePmd->shared = false;
     fileNode->shared = false;
 }
 
@@ -402,6 +442,8 @@ TEST(WalkCache, RandomCallsMatchUncachedWalks)
 
     std::uint64_t hits = 0;
     std::uint64_t fills = 0;
+    // Hits whose cached leaf table is a shared (attached) node.
+    std::uint64_t sharedHits = 0;
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
         sim::Rng rng(seed);
         // Short rounds on fresh tables: a PMD-level clear of an
@@ -501,8 +543,14 @@ TEST(WalkCache, RandomCallsMatchUncachedWalks)
                     << where;
                 for (const std::uint64_t va : probes) {
                     const WalkResult fromRoot = t.cached.walkFromRoot(va);
-                    ASSERT_EQ(t.cached.lookup(va), fromRoot)
+                    const std::uint64_t before = t.cached.walkCache().hits();
+                    const WalkResult walk = t.cached.lookup(va);
+                    ASSERT_EQ(walk, fromRoot)
                         << where << " va 0x" << std::hex << va;
+                    if (t.cached.walkCache().hits() > before
+                        && walk.pteNode->shared) {
+                        sharedHits++;
+                    }
                     // The twins own different host nodes; nothing else
                     // may differ.
                     WalkResult twin = t.plain.lookup(va);
@@ -521,9 +569,11 @@ TEST(WalkCache, RandomCallsMatchUncachedWalks)
                       0u);
         }
     }
-    // Both the hit and the fill paths were exercised.
+    // Both the hit and the fill paths were exercised, and hits went
+    // through attached leaf tables too.
     EXPECT_GT(hits, 10000u);
     EXPECT_GT(fills, 1000u);
+    EXPECT_GT(sharedHits, 1000u);
 }
 
 // ---------------------------------------------------------------------

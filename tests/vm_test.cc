@@ -213,14 +213,15 @@ TEST(ReverseMap, EntryLastsOnlyWhileItRecordsAMapping)
     }
     EXPECT_TRUE(f.system.vmm().mappedInodes().empty());
 
-    // A live mapping outlives the inode's VFS cache entry.
+    // A live mapping keeps its inode cached (the mapping's file
+    // reference, as in Linux), and the entry survives dropCaches().
     const fs::Ino ino = f.system.makeFile("/live", len);
     const auto opened = f.system.vfs().open(cpu, "/live");
     ASSERT_TRUE(opened.has_value());
     const std::uint64_t va = f.as->mmap(cpu, ino, 0, len, false, 0);
     f.system.vfs().close(cpu, ino);
     f.system.vfs().dropCaches();
-    EXPECT_FALSE(f.system.vfs().isCached(ino));
+    EXPECT_TRUE(f.system.vfs().isCached(ino));
     EXPECT_EQ(f.system.vmm().mappedInodes(), std::vector<fs::Ino>{ino});
     ASSERT_EQ(f.system.vmm().mappingsOf(ino).size(), 1u);
     EXPECT_EQ(f.system.vmm().mappingsOf(ino)[0].vmaStart, va);
