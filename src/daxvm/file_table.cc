@@ -410,6 +410,26 @@ FileTableManager::recoverAll()
     return report;
 }
 
+void
+FileTableManager::populateAllBut(sim::Cpu &cpu, const fs::Inode &inode,
+                                 FileTable &table, std::uint64_t fileBlock,
+                                 std::uint64_t count)
+{
+    const std::uint64_t addedEnd = fileBlock + count;
+    for (const auto &[fb, e] : inode.extents) {
+        const std::uint64_t end = fb + e.count;
+        if (fb < fileBlock) {
+            const std::uint64_t n = std::min(end, fileBlock) - fb;
+            table.populate(&cpu, fb, {e.block, n}, fs_.blockAddr(0));
+        }
+        if (end > addedEnd) {
+            const std::uint64_t s = std::max(fb, addedEnd);
+            table.populate(&cpu, s, {e.block + (s - fb), end - s},
+                           fs_.blockAddr(0));
+        }
+    }
+}
+
 InodeTables &
 FileTableManager::tables(sim::Cpu *cpu, fs::Ino ino)
 {
@@ -479,30 +499,18 @@ FileTableManager::onBlocksAllocated(sim::Cpu &cpu, fs::Inode &inode,
     // A replaced table is freed only after its attachments moved.
     std::unique_ptr<FileTable> retired;
     if (t->table == nullptr) {
+        // A first table, or one rebuilt after eviction dropped a
+        // volatile table: it maps the blocks allocated before too.
         auto &frames = wantPersistent ? pmemFrames_ : dramFrames_;
         t->table = std::make_unique<FileTable>(frames, wantPersistent,
                                                cm_);
+        populateAllBut(cpu, inode, *t->table, fileBlock, extent.count);
     } else if (wantPersistent && !t->table->persistent()) {
         // The file outgrew the volatile policy: persist the table
         // (rebuild in PMem frames, charged as flushed writes).
         auto persisted = std::make_unique<FileTable>(
             pmemFrames_, /*persistent=*/true, cm_);
-        // Exclude the blocks being added, populated below: extendTo
-        // may have merged them into the tail extent.
-        const std::uint64_t addedEnd = fileBlock + extent.count;
-        for (const auto &[fb, e] : inode.extents) {
-            const std::uint64_t end = fb + e.count;
-            if (fb < fileBlock) {
-                const std::uint64_t n = std::min(end, fileBlock) - fb;
-                persisted->populate(&cpu, fb, {e.block, n},
-                                    fs_.blockAddr(0));
-            }
-            if (end > addedEnd) {
-                const std::uint64_t s = std::max(fb, addedEnd);
-                persisted->populate(&cpu, s, {e.block + (s - fb), end - s},
-                                    fs_.blockAddr(0));
-            }
-        }
+        populateAllBut(cpu, inode, *persisted, fileBlock, extent.count);
         retired = std::exchange(t->table, std::move(persisted));
         if (reattach_ != nullptr)
             reattach_(reattachCtx_, cpu, inode.ino);

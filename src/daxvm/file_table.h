@@ -312,6 +312,15 @@ class FileTableManager : public fs::FsHooks
     void buildFromExtents(sim::Cpu *cpu, fs::Inode &inode,
                           InodeTables &tables);
     /**
+     * Populate @p table with every block of @p inode's extent map
+     * except file blocks [fileBlock, fileBlock + count), the blocks an
+     * allocation hook is adding: extendTo may already have merged them
+     * into the tail extent, and the hook populates them itself.
+     */
+    void populateAllBut(sim::Cpu &cpu, const fs::Inode &inode,
+                        FileTable &table, std::uint64_t fileBlock,
+                        std::uint64_t count);
+    /**
      * Open @p inode's update window before a hook's first table write
      * (no-op when the table has no durable image yet).
      */

@@ -4,6 +4,8 @@
  */
 #include "fs/block_alloc.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <stdexcept>
 
@@ -14,16 +16,18 @@ BlockAllocator::BlockAllocator(std::uint64_t nBlocks, std::uint64_t baseAddr)
 {
     if (nBlocks == 0)
         throw std::invalid_argument("allocator needs blocks");
-    freeMap_.emplace(0, nBlocks);
-    freeBlocks_ = nBlocks;
+    free_.runs.emplace(0, nBlocks);
+    free_.blocks = nBlocks;
 }
 
 void
-BlockAllocator::insertFree(ExtentMap &map, const Extent &extent)
+BlockAllocator::insertFree(Pool &pool, const Extent &extent)
 {
+    ExtentMap &map = pool.runs;
     auto [it, inserted] = map.emplace(extent.block, extent.count);
     if (!inserted)
         throw std::logic_error("double free of block extent");
+    pool.blocks += extent.count;
 
     // Coalesce with successor.
     auto next = std::next(it);
@@ -37,33 +41,59 @@ BlockAllocator::insertFree(ExtentMap &map, const Extent &extent)
         if (prev->first + prev->second == it->first) {
             prev->second += it->second;
             map.erase(it);
+            it = prev;
         }
     }
+    // The merged run may be the first at least 2^c long for each
+    // class c it spans.
+    for (int c = std::bit_width(it->second) - 1;
+         c >= 0 && pool.hint[c] > it->first; c--)
+        pool.hint[c] = it->first;
+}
+
+void
+BlockAllocator::raiseHint(Pool &pool, int cls, std::uint64_t longest,
+                          std::uint64_t to)
+{
+    // Runs below hint[cls] are shorter than 2^cls and the passed-over
+    // ones no longer than longest: both are shorter than 2^c from
+    // c = max(cls, bit_width(longest)) up.
+    for (int c = std::max(cls, static_cast<int>(std::bit_width(longest)));
+         c < static_cast<int>(pool.hint.size()) && pool.hint[c] < to; c++)
+        pool.hint[c] = to;
 }
 
 std::vector<Extent>
-BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
-                      std::uint64_t goal, std::uint64_t &pool,
+BlockAllocator::carve(Pool &pool, std::uint64_t count, std::uint64_t goal,
                       bool hugeAligned)
 {
     std::vector<Extent> out;
-    if (count == 0 || pool < count)
+    if (count == 0 || pool.blocks < count)
         return out;
 
+    ExtentMap &map = pool.runs;
     std::uint64_t remaining = count;
+    // Every run starting below hint[cls] is shorter than
+    // 2^cls <= count blocks, so no first-fit pass can stop at one.
+    const int cls = std::bit_width(count) - 1;
+    std::uint64_t longest = 0;
 
     // Pass 0 (large files on a healthy image): carve a 2 MB-aligned
     // run so the mapping layer can use huge pages (ext4 alignment
     // heuristics for DAX).
     if (hugeAligned) {
-        for (auto it = map.begin(); it != map.end(); ++it) {
+        for (auto it = map.lower_bound(pool.hint[cls]); it != map.end();
+             ++it) {
             const std::uint64_t start = it->first;
             const std::uint64_t len = it->second;
             const std::uint64_t aligned =
                 (start + kBlocksPerHuge - 1) / kBlocksPerHuge
                 * kBlocksPerHuge;
-            if (aligned + remaining > start + len)
+            if (aligned + remaining > start + len) {
+                longest = std::max(longest, len);
                 continue;
+            }
+            raiseHint(pool, cls, longest, start);
             const std::uint64_t head = aligned - start;
             const std::uint64_t tail = start + len - aligned - remaining;
             const auto next = map.erase(it);
@@ -72,32 +102,43 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
             if (tail > 0)
                 map.emplace_hint(next, aligned + remaining, tail);
             out.push_back({aligned, remaining});
-            pool -= remaining;
+            pool.blocks -= remaining;
             return out;
         }
+        raiseHint(pool, cls, longest, totalBlocks_);
+        longest = 0;
     }
 
     // Pass 1: a single extent fully satisfying the request, preferring
-    // the first fit at or after the goal (ext4's goal-directed search).
-    auto tryWhole = [&](auto begin, auto end) -> bool {
-        for (auto it = begin; it != end; ++it) {
-            if (it->second >= remaining) {
-                out.push_back({it->first, remaining});
-                const std::uint64_t start = it->first;
-                const std::uint64_t len = it->second;
-                const auto next = map.erase(it);
-                if (len > remaining)
-                    map.emplace_hint(next, start + remaining,
-                                     len - remaining);
-                pool -= remaining;
-                remaining = 0;
-                return true;
-            }
-        }
-        return false;
+    // the first fit at or after the goal (ext4's goal-directed search),
+    // then the first fit below it.
+    auto firstFit = [&](auto it, auto end) {
+        for (; it != end && it->second < remaining; ++it)
+            longest = std::max(longest, it->second);
+        return it;
     };
-    if (tryWhole(map.lower_bound(goal), map.end())
-        || tryWhole(map.begin(), map.lower_bound(goal))) {
+    const std::uint64_t skip = pool.hint[cls];
+    auto fit = firstFit(map.lower_bound(std::max(goal, skip)), map.end());
+    // Whether the search passed over every run below where it stopped.
+    bool swept = goal <= skip;
+    if (fit == map.end() && goal > skip) {
+        const auto wrap = map.lower_bound(goal);
+        fit = firstFit(map.lower_bound(skip), wrap);
+        if (fit == wrap)
+            fit = map.end();
+        swept = true;
+    }
+    if (swept)
+        raiseHint(pool, cls, longest,
+                  fit == map.end() ? totalBlocks_ : fit->first);
+    if (fit != map.end()) {
+        out.push_back({fit->first, remaining});
+        const std::uint64_t start = fit->first;
+        const std::uint64_t len = fit->second;
+        const auto next = map.erase(fit);
+        if (len > remaining)
+            map.emplace_hint(next, start + remaining, len - remaining);
+        pool.blocks -= remaining;
         return out;
     }
 
@@ -111,7 +152,7 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
         const auto next = map.erase(it);
         if (len > take)
             map.emplace_hint(next, start + take, len - take);
-        pool -= take;
+        pool.blocks -= take;
         remaining -= take;
     };
     while (remaining > 0) {
@@ -125,10 +166,8 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
 
     if (remaining > 0) {
         // Roll back: out of space.
-        for (const auto &e : out) {
-            insertFree(map, e);
-            pool += e.count;
-        }
+        for (const auto &e : out)
+            insertFree(pool, e);
         out.clear();
     }
     return out;
@@ -141,16 +180,15 @@ BlockAllocator::alloc(std::uint64_t count, std::uint64_t goal,
     std::vector<Extent> out;
     if (count == 0)
         return out;
-    if (freeBlocks_ + zeroedBlocks_ < count)
+    if (free_.blocks + zeroed_.blocks < count)
         return out; // ENOSPC
 
     // Prefer pre-zeroed extents first: callers that need zeroed blocks
     // skip the synchronous zeroing for this portion.
     std::uint64_t fromZeroed =
-        zeroedBlocks_ < count ? zeroedBlocks_ : count;
+        zeroed_.blocks < count ? zeroed_.blocks : count;
     if (fromZeroed > 0) {
-        auto z = carve(zeroedMap_, fromZeroed, goal, zeroedBlocks_,
-                       /*hugeAligned=*/false);
+        auto z = carve(zeroed_, fromZeroed, goal, /*hugeAligned=*/false);
         for (const auto &e : z) {
             out.push_back(e);
             if (zeroed != nullptr)
@@ -161,14 +199,12 @@ BlockAllocator::alloc(std::uint64_t count, std::uint64_t goal,
     }
     const std::uint64_t rest = count - fromZeroed;
     if (rest > 0) {
-        auto f = carve(freeMap_, rest, goal, freeBlocks_,
+        auto f = carve(free_, rest, goal,
                        preferHugeAligned && rest >= kBlocksPerHuge);
         if (f.empty()) {
             // Roll back the zeroed part.
-            for (std::size_t i = 0; i < out.size(); i++) {
-                insertFree(zeroedMap_, out[i]);
-                zeroedBlocks_ += out[i].count;
-            }
+            for (const Extent &e : out)
+                insertFree(zeroed_, e);
             out.clear();
             if (zeroed != nullptr)
                 zeroed->clear();
@@ -192,8 +228,7 @@ BlockAllocator::free(const Extent &extent, int core, sim::Time now)
         divertedBlocks_ += extent.count;
         return; // DaxVM prezero path owns the blocks now
     }
-    insertFree(freeMap_, extent);
-    freeBlocks_ += extent.count;
+    insertFree(free_, extent);
 }
 
 void
@@ -204,8 +239,7 @@ BlockAllocator::freeZeroed(const Extent &extent)
     // Saturating: callers may seed the zeroed pool directly (tests).
     divertedBlocks_ -=
         divertedBlocks_ < extent.count ? divertedBlocks_ : extent.count;
-    insertFree(zeroedMap_, extent);
-    zeroedBlocks_ += extent.count;
+    insertFree(zeroed_, extent);
 }
 
 void
@@ -215,24 +249,26 @@ BlockAllocator::retire(const Extent &extent)
         throw std::invalid_argument("retire beyond device");
     if (extent.count == 0)
         return;
-    insertFree(retiredMap_, extent);
-    retiredBlocks_ += extent.count;
+    insertFree(retired_, extent);
 }
 
 std::vector<Extent>
 BlockAllocator::retiredExtents() const
 {
     std::vector<Extent> out;
-    out.reserve(retiredMap_.size());
-    for (const auto &[start, len] : retiredMap_)
+    out.reserve(retired_.runs.size());
+    for (const auto &[start, len] : retired_.runs)
         out.push_back({start, len});
     return out;
 }
 
 std::uint64_t
-BlockAllocator::removeRange(ExtentMap &map, std::uint64_t start,
+BlockAllocator::removeRange(Pool &pool, std::uint64_t start,
                             std::uint64_t count)
 {
+    // Cutting only shortens runs and moves none below where it began,
+    // so every hint still holds.
+    ExtentMap &map = pool.runs;
     const std::uint64_t end = start + count;
     std::uint64_t removed = 0;
 
@@ -256,20 +292,19 @@ BlockAllocator::removeRange(ExtentMap &map, std::uint64_t start,
         if (cutEnd < runEnd)
             map.emplace_hint(it, cutEnd, runEnd - cutEnd);
     }
+    pool.blocks -= removed;
     return removed;
 }
 
 std::uint64_t
 BlockAllocator::rebuildFrom(const std::vector<Extent> &allocated)
 {
-    freeMap_.clear();
-    freeMap_.emplace(0, totalBlocks_);
-    freeBlocks_ = totalBlocks_;
-    zeroedMap_.clear();
-    zeroedBlocks_ = 0;
+    free_ = Pool{};
+    free_.runs.emplace(0, totalBlocks_);
+    free_.blocks = totalBlocks_;
+    zeroed_ = Pool{};
     divertedBlocks_ = 0;
-    retiredMap_.clear();
-    retiredBlocks_ = 0;
+    retired_ = Pool{};
 
     std::uint64_t conflicts = 0;
     for (const auto &e : allocated) {
@@ -279,10 +314,7 @@ BlockAllocator::rebuildFrom(const std::vector<Extent> &allocated)
             conflicts += e.count;
             continue;
         }
-        const std::uint64_t removed =
-            removeRange(freeMap_, e.block, e.count);
-        freeBlocks_ -= removed;
-        conflicts += e.count - removed;
+        conflicts += e.count - removeRange(free_, e.block, e.count);
     }
     return conflicts;
 }
@@ -293,9 +325,8 @@ BlockAllocator::rebuildRetired(const std::vector<Extent> &retired)
     for (const auto &e : retired) {
         if (e.count == 0 || e.endBlock() > totalBlocks_)
             continue;
-        freeBlocks_ -= removeRange(freeMap_, e.block, e.count);
-        insertFree(retiredMap_, e);
-        retiredBlocks_ += e.count;
+        removeRange(free_, e.block, e.count);
+        insertFree(retired_, e);
     }
 }
 
@@ -308,16 +339,14 @@ BlockAllocator::promoteZeroed(const Extent &extent)
         return false;
     // Require full coverage by a single free run (the free map is
     // coalesced, so a fully-free range is always one run).
-    auto it = freeMap_.upper_bound(extent.block);
-    if (it == freeMap_.begin())
+    auto it = free_.runs.upper_bound(extent.block);
+    if (it == free_.runs.begin())
         return false;
     --it;
     if (it->first + it->second < extent.endBlock())
         return false;
-    removeRange(freeMap_, extent.block, extent.count);
-    freeBlocks_ -= extent.count;
-    insertFree(zeroedMap_, extent);
-    zeroedBlocks_ += extent.count;
+    removeRange(free_, extent.block, extent.count);
+    insertFree(zeroed_, extent);
     return true;
 }
 
@@ -325,8 +354,8 @@ std::vector<Extent>
 BlockAllocator::zeroedExtents() const
 {
     std::vector<Extent> out;
-    out.reserve(zeroedMap_.size());
-    for (const auto &[start, len] : zeroedMap_)
+    out.reserve(zeroed_.runs.size());
+    for (const auto &[start, len] : zeroed_.runs)
         out.push_back({start, len});
     return out;
 }
@@ -335,15 +364,18 @@ std::vector<std::string>
 BlockAllocator::check() const
 {
     std::vector<std::string> problems;
-    auto audit = [&](const char *name, const ExtentMap &map,
-                     std::uint64_t counter) {
+    auto audit = [&](const char *name, const Pool &pool) {
         std::uint64_t sum = 0;
         std::uint64_t prevEnd = 0;
         bool first = true;
-        for (const auto &[start, len] : map) {
+        for (const auto &[start, len] : pool.runs) {
             if (len == 0)
                 problems.push_back(std::string(name) + ": empty run at "
                                    + std::to_string(start));
+            else if (pool.hint[std::bit_width(len) - 1] > start)
+                problems.push_back(std::string(name) + ": run at "
+                                   + std::to_string(start)
+                                   + " lies below its size-class hint");
             if (!first && start <= prevEnd)
                 problems.push_back(std::string(name)
                                    + ": overlapping/uncoalesced run at "
@@ -356,14 +388,17 @@ BlockAllocator::check() const
             prevEnd = start + len;
             first = false;
         }
-        if (sum != counter)
+        if (sum != pool.blocks)
             problems.push_back(std::string(name) + ": counter "
-                               + std::to_string(counter) + " != map sum "
-                               + std::to_string(sum));
+                               + std::to_string(pool.blocks)
+                               + " != map sum " + std::to_string(sum));
+        if (!std::is_sorted(pool.hint.begin(), pool.hint.end()))
+            problems.push_back(std::string(name)
+                               + ": size-class hints decrease");
     };
-    audit("freeMap", freeMap_, freeBlocks_);
-    audit("zeroedMap", zeroedMap_, zeroedBlocks_);
-    audit("retiredMap", retiredMap_, retiredBlocks_);
+    audit("freeMap", free_);
+    audit("zeroedMap", zeroed_);
+    audit("retiredMap", retired_);
 
     // The pools must be pairwise disjoint.
     auto overlapsMap = [&](const char *name, const ExtentMap &map,
@@ -383,11 +418,11 @@ BlockAllocator::check() const
                                    + otherName);
         }
     };
-    overlapsMap("zeroed", zeroedMap_, freeMap_, "free map");
-    overlapsMap("retired", retiredMap_, freeMap_, "free map");
-    overlapsMap("retired", retiredMap_, zeroedMap_, "zeroed map");
+    overlapsMap("zeroed", zeroed_.runs, free_.runs, "free map");
+    overlapsMap("retired", retired_.runs, free_.runs, "free map");
+    overlapsMap("retired", retired_.runs, zeroed_.runs, "zeroed map");
 
-    if (freeBlocks_ + zeroedBlocks_ + divertedBlocks_ + retiredBlocks_
+    if (free_.blocks + zeroed_.blocks + divertedBlocks_ + retired_.blocks
         > totalBlocks_)
         problems.push_back(
             "free+zeroed+diverted+retired exceeds device size");
@@ -398,7 +433,7 @@ std::uint64_t
 BlockAllocator::largestFreeExtent() const
 {
     std::uint64_t best = 0;
-    for (const auto &[start, len] : freeMap_) {
+    for (const auto &[start, len] : free_.runs) {
         (void)start;
         if (len > best)
             best = len;
@@ -409,10 +444,10 @@ BlockAllocator::largestFreeExtent() const
 double
 BlockAllocator::hugeAlignedFreeFraction() const
 {
-    if (freeBlocks_ == 0)
+    if (free_.blocks == 0)
         return 0.0;
     std::uint64_t hugeBlocks = 0;
-    for (const auto &[start, len] : freeMap_) {
+    for (const auto &[start, len] : free_.runs) {
         const std::uint64_t alignedStart =
             (start + kBlocksPerHuge - 1) / kBlocksPerHuge * kBlocksPerHuge;
         const std::uint64_t end = start + len;
@@ -423,7 +458,7 @@ BlockAllocator::hugeAlignedFreeFraction() const
         hugeBlocks += usable;
     }
     return static_cast<double>(hugeBlocks)
-         / static_cast<double>(freeBlocks_);
+         / static_cast<double>(free_.blocks);
 }
 
 } // namespace dax::fs

@@ -6,6 +6,8 @@
  * contiguous (first fit at or after a goal), splitting into multiple
  * extents when fragmentation forces it - the mechanism by which an
  * aged image degrades huge-page coverage (paper Sections III/V).
+ * Per-size-class skip hints let a first-fit search start past the
+ * runs too short to hold it without changing where it lands.
  *
  * DaxVM's asynchronous pre-zeroing hooks the *free* path: freed blocks
  * can be diverted to a PrezeroSink instead of returning to the free
@@ -15,6 +17,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -146,21 +149,21 @@ class BlockAllocator
     }
 
     // Introspection -----------------------------------------------------
-    std::uint64_t freeBlocks() const { return freeBlocks_; }
-    std::uint64_t zeroedBlocks() const { return zeroedBlocks_; }
+    std::uint64_t freeBlocks() const { return free_.blocks; }
+    std::uint64_t zeroedBlocks() const { return zeroed_.blocks; }
     /** Blocks in flight to the prezero daemon (volatile across crash). */
     std::uint64_t divertedBlocks() const { return divertedBlocks_; }
     /** Blocks permanently retired for media errors. */
-    std::uint64_t retiredBlocks() const { return retiredBlocks_; }
+    std::uint64_t retiredBlocks() const { return retired_.blocks; }
     std::uint64_t totalBlocks() const { return totalBlocks_; }
-    std::uint64_t freeExtents() const { return freeMap_.size(); }
+    std::uint64_t freeExtents() const { return free_.runs.size(); }
     std::uint64_t largestFreeExtent() const;
 
     /** Free map (start block -> length), for invariant checkers. */
-    const ExtentMap &freeMap() const { return freeMap_; }
+    const ExtentMap &freeMap() const { return free_.runs; }
 
     /** Retired pool (start block -> length), for invariant checkers. */
-    const ExtentMap &retiredMap() const { return retiredMap_; }
+    const ExtentMap &retiredMap() const { return retired_.runs; }
 
     /** Current retired extents (persistence, reporting). */
     std::vector<Extent> retiredExtents() const;
@@ -172,26 +175,44 @@ class BlockAllocator
     double hugeAlignedFreeFraction() const;
 
   private:
-    std::vector<Extent> carve(ExtentMap &map, std::uint64_t count,
-                              std::uint64_t goal, std::uint64_t &pool,
-                              bool hugeAligned);
-    void insertFree(ExtentMap &map, const Extent &extent);
-    /** Remove [start, start+count) from @p map; @return blocks removed. */
-    static std::uint64_t removeRange(ExtentMap &map, std::uint64_t start,
+    /** One pool of blocks: its runs, their sum and first-fit hints. */
+    struct Pool
+    {
+        /** start block -> length (blocks), coalesced. */
+        ExtentMap runs;
+        std::uint64_t blocks = 0;
+        /**
+         * First-fit skip hints, non-decreasing in c: every run that
+         * starts below hint[c] is shorter than 2^c blocks, so a search
+         * for at least 2^c blocks may start at hint[c]. A coalescing
+         * insert lowers them; a search that passed over every run
+         * below its fit raises them.
+         */
+        std::array<std::uint64_t, 64> hint{};
+    };
+
+    std::vector<Extent> carve(Pool &pool, std::uint64_t count,
+                              std::uint64_t goal, bool hugeAligned);
+    /**
+     * A search that started at hint[cls] passed over every run below
+     * block @p to, none longer than @p longest: raise each hint this
+     * proves to @p to.
+     */
+    static void raiseHint(Pool &pool, int cls, std::uint64_t longest,
+                          std::uint64_t to);
+    void insertFree(Pool &pool, const Extent &extent);
+    /** Remove [start, start+count) from @p pool; @return blocks removed. */
+    static std::uint64_t removeRange(Pool &pool, std::uint64_t start,
                                      std::uint64_t count);
 
     std::uint64_t totalBlocks_;
     std::uint64_t baseAddr_;
-    /** start block -> length (blocks), coalesced. */
-    ExtentMap freeMap_;
+    Pool free_;
     /** pre-zeroed extents ready for zero-demanding allocations. */
-    ExtentMap zeroedMap_;
+    Pool zeroed_;
     /** media-retired extents, permanently out of circulation. */
-    ExtentMap retiredMap_;
-    std::uint64_t freeBlocks_ = 0;
-    std::uint64_t zeroedBlocks_ = 0;
+    Pool retired_;
     std::uint64_t divertedBlocks_ = 0;
-    std::uint64_t retiredBlocks_ = 0;
     PrezeroSink *sink_ = nullptr;
 };
 

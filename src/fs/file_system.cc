@@ -23,7 +23,7 @@ FileSystem::FileSystem(Personality personality, mem::Device &pmem,
                         : std::make_unique<sim::MetricsRegistry>()),
       metrics_(metrics != nullptr ? metrics : ownedMetrics_.get()),
       alloc_(dataBytes / kBlockSize, dataBase),
-      journal_(personality, cm), inodes_(1)
+      journal_(personality, cm), inodes_(1), names_(inodes_)
 {
     if (dataBase % kBlockSize != 0 || dataBytes % kBlockSize != 0)
         throw std::invalid_argument("fs region not block aligned");
@@ -80,7 +80,7 @@ Ino
 FileSystem::create(sim::Cpu &cpu, const std::string &path)
 {
     const Ino ino = inodes_.size();
-    if (!names_.emplace(path, ino).second)
+    if (!names_.insert(path, ino))
         throw std::invalid_argument("create: path exists: " + path);
     cpu.advance(cm_.openBase);
     auto node = std::make_unique<Inode>();
@@ -95,10 +95,10 @@ FileSystem::create(sim::Cpu &cpu, const std::string &path)
 bool
 FileSystem::unlink(sim::Cpu &cpu, const std::string &path)
 {
-    auto it = names_.find(path);
-    if (it == names_.end())
+    const std::optional<Ino> found = names_.find(path);
+    if (!found)
         return false;
-    const Ino ino = it->second;
+    const Ino ino = *found;
     Inode &node = inode(ino);
     cpu.advance(cm_.openBase);
     freeAll(cpu, node, 0);
@@ -107,7 +107,7 @@ FileSystem::unlink(sim::Cpu &cpu, const std::string &path)
     journal_.commitErase(cpu, ino);
     for (auto *h : hooks_)
         h->onInodeEvict(node);
-    names_.erase(it);
+    names_.erase(path, ino);
     inodes_[ino].reset();
     counters_.unlinks.addAt(cpu.coreId());
     return true;
@@ -116,20 +116,17 @@ FileSystem::unlink(sim::Cpu &cpu, const std::string &path)
 std::optional<Ino>
 FileSystem::lookupPath(const std::string &path) const
 {
-    auto it = names_.find(path);
-    if (it == names_.end())
-        return std::nullopt;
-    return it->second;
+    return names_.find(path);
 }
 
 std::vector<std::string>
 FileSystem::list(const std::string &prefix) const
 {
     std::vector<std::string> out;
-    for (const auto &[path, ino] : names_) {
-        (void)ino;
-        if (path.compare(0, prefix.size(), prefix) == 0)
-            out.push_back(path);
+    for (const auto &node : inodes_) {
+        if (node != nullptr
+            && node->path.compare(0, prefix.size(), prefix) == 0)
+            out.push_back(node->path);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -547,7 +544,7 @@ FileSystem::recover()
             (void)fileBlock;
             allocated.push_back(e);
         }
-        names_.emplace(rec.path, ino);
+        names_.insert(rec.path, ino);
         if (ino >= inodes_.size())
             inodes_.resize(ino + 1);
         inodes_[ino] = std::move(node);
@@ -570,29 +567,30 @@ FileSystem::fsck() const
 {
     std::vector<std::string> problems = alloc_.check();
 
-    // Namespace <-> inode table, reported in path order.
-    std::vector<std::pair<std::string, Ino>> names(names_.begin(),
-                                                   names_.end());
-    std::sort(names.begin(), names.end());
-    for (const auto &[path, ino] : names) {
-        if (!exists(ino))
-            problems.push_back("name '" + path + "' -> missing inode "
+    // Namespace <-> inode table: every index entry names a live
+    // inode, and every live inode is found under its own path.
+    bool dangling = false;
+    names_.forEach([&](Ino ino) {
+        if (!exists(ino)) {
+            problems.push_back("path index -> missing inode "
                                + std::to_string(ino));
-        else if (inodes_[ino]->path != path)
-            problems.push_back("name '" + path + "' -> inode "
-                               + std::to_string(ino)
-                               + " with path '" + inodes_[ino]->path
-                               + "'");
-    }
+            dangling = true;
+        }
+    });
+    std::size_t live = 0;
     for (const auto &node : inodes_) {
         if (node == nullptr)
             continue;
-        const auto it = names_.find(node->path);
-        if (it == names_.end() || it->second != node->ino) {
+        live++;
+        if (!dangling && names_.find(node->path) != node->ino) {
             problems.push_back("inode " + std::to_string(node->ino)
                                + " not reachable via its path");
         }
     }
+    if (names_.size() != live)
+        problems.push_back("path index holds "
+                           + std::to_string(names_.size()) + " entries for "
+                           + std::to_string(live) + " inodes");
 
     // Per-inode extent trees + global double-claim detection.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> claims;

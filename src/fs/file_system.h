@@ -22,12 +22,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fs/block_alloc.h"
 #include "fs/inode.h"
 #include "fs/journal.h"
+#include "fs/path_index.h"
 #include "mem/device.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
@@ -369,9 +369,10 @@ class FileSystem
     sim::MetricsRegistry *metrics_;
     BlockAllocator alloc_;
     Journal journal_;
-    std::unordered_map<std::string, Ino> names_;
     /** See inodeTable(); its size is the next inode number. */
     std::vector<std::unique_ptr<Inode>> inodes_;
+    /** Path -> inode over inodes_ (the namespace). */
+    PathIndex<> names_;
     std::vector<FsHooks *> hooks_;
     MediaPolicy mediaPolicy_ = MediaPolicy::FailFast;
     /** Plain members, not registry metrics (byte-identity: see above). */

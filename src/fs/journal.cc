@@ -5,6 +5,8 @@
  */
 #include "fs/journal.h"
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "sim/trace.h"
@@ -61,6 +63,40 @@ Journal::snapshot(Ino ino)
     rec.allocatedCount = node->allocatedCount;
 }
 
+void
+Journal::clearDirtyBit(Ino ino)
+{
+    if (!isDirty(ino))
+        return;
+    dirty_[ino / 64] &= ~(std::uint64_t{1} << (ino % 64));
+    if (--dirtyCount_ == 0) {
+        dirtyLo_ = SIZE_MAX;
+        dirtyHi_ = 0;
+    }
+}
+
+std::vector<Ino>
+Journal::dirtyBatch() const
+{
+    std::vector<Ino> batch;
+    batch.reserve(dirtyCount_);
+    for (std::size_t w = dirtyLo_; w < dirtyHi_; w++) {
+        for (std::uint64_t bits = dirty_[w]; bits != 0; bits &= bits - 1)
+            batch.push_back(w * 64 + std::countr_zero(bits));
+    }
+    return batch;
+}
+
+void
+Journal::resetDirty()
+{
+    if (dirtyLo_ < dirtyHi_)
+        std::fill(dirty_.begin() + dirtyLo_, dirty_.begin() + dirtyHi_, 0);
+    dirtyCount_ = 0;
+    dirtyLo_ = SIZE_MAX;
+    dirtyHi_ = 0;
+}
+
 std::vector<Extent>
 Journal::retiredImage() const
 {
@@ -81,9 +117,9 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
         // only carries other inodes' metadata; committing ino alone
         // would ack durability for an image its own transaction does
         // not contain.
-        if (dirty_.empty())
+        if (dirtyCount_ == 0)
             return;
-        const std::vector<Ino> batch(dirty_.begin(), dirty_.end());
+        const std::vector<Ino> batch = dirtyBatch();
         const sim::Time begin = cpu.now();
         DAX_SPAN(sim::TraceCat::Fs, cpu, "journal_commit");
         sim::ScopedLock guard(lock_, cpu);
@@ -93,7 +129,7 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
             snapshot(b);
         if (batch.size() > 1)
             batchedInodes_ += batch.size();
-        dirty_.clear();
+        resetDirty();
     } else {
         // NOVA commits per inode: each log is independent.
         if (!isDirty(ino))
@@ -103,7 +139,7 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
         chargeCommit(cpu);
         commitNs_.recordAt(cpu.coreId(), cpu.now() - begin);
         snapshot(ino);
-        dirty_.erase(ino);
+        clearDirtyBit(ino);
     }
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::JournalCommit, cpu.now());
@@ -123,7 +159,7 @@ Journal::commitErase(sim::Cpu &cpu, Ino ino)
     commitNs_.recordAt(cpu.coreId(), cpu.now() - begin);
     mergeRetired(ino);
     committed_.erase(ino);
-    dirty_.erase(ino);
+    clearDirtyBit(ino);
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::JournalCommit, cpu.now());
 }
@@ -131,9 +167,9 @@ Journal::commitErase(sim::Cpu &cpu, Ino ino)
 void
 Journal::commitAll(sim::Cpu &cpu)
 {
-    if (dirty_.empty())
+    if (dirtyCount_ == 0)
         return;
-    const std::vector<Ino> batch(dirty_.begin(), dirty_.end());
+    const std::vector<Ino> batch = dirtyBatch();
     if (personality_ == Personality::Ext4Dax) {
         // jbd2 group commit: the whole batch rides one transaction.
         const sim::Time begin = cpu.now();
@@ -153,7 +189,7 @@ Journal::commitAll(sim::Cpu &cpu)
             snapshot(ino);
         }
     }
-    dirty_.clear();
+    resetDirty();
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::JournalCommit, cpu.now());
 }

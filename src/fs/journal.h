@@ -19,10 +19,11 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "fs/inode.h"
@@ -82,9 +83,26 @@ class Journal
     }
 
     /** Record that @p ino has uncommitted metadata. */
-    void markDirty(Ino ino) { dirty_.insert(ino); }
+    void markDirty(Ino ino)
+    {
+        const std::size_t word = ino / 64;
+        if (word >= dirty_.size())
+            dirty_.resize(word + 1);
+        const std::uint64_t bit = std::uint64_t{1} << (ino % 64);
+        if ((dirty_[word] & bit) != 0)
+            return;
+        dirty_[word] |= bit;
+        dirtyCount_++;
+        dirtyLo_ = std::min(dirtyLo_, word);
+        dirtyHi_ = std::max(dirtyHi_, word + 1);
+    }
 
-    bool isDirty(Ino ino) const { return dirty_.count(ino) != 0; }
+    bool isDirty(Ino ino) const
+    {
+        const std::size_t word = ino / 64;
+        return word < dirty_.size()
+            && (dirty_[word] >> (ino % 64) & 1) != 0;
+    }
 
     /**
      * Commit @p ino's metadata. ext4: serialized jbd2 transaction
@@ -118,7 +136,7 @@ class Journal
     /** Forget dirty state after a crash (nothing is dirty on mount). */
     void clearDirty()
     {
-        dirty_.clear();
+        resetDirty();
         pendingRetired_.clear();
     }
 
@@ -144,7 +162,7 @@ class Journal
     std::uint64_t commits() const { return commits_; }
     /** Inodes committed through group commits (batching stat). */
     std::uint64_t batchedInodes() const { return batchedInodes_; }
-    std::size_t dirtyCount() const { return dirty_.size(); }
+    std::size_t dirtyCount() const { return dirtyCount_; }
     const sim::Mutex &lock() const { return lock_; }
 
     /** Invariant-check observer fired after each commit. */
@@ -159,6 +177,11 @@ class Journal
     void snapshot(Ino ino);
     /** Make @p ino's pending retired records durable (see above). */
     void mergeRetired(Ino ino);
+    void clearDirtyBit(Ino ino);
+    /** The dirty inodes in ascending order (a group-commit batch). */
+    std::vector<Ino> dirtyBatch() const;
+    /** Empty the dirty set. */
+    void resetDirty();
 
     Personality personality_;
     const sim::CostModel &cm_;
@@ -166,7 +189,18 @@ class Journal
     Resolver resolver_;
     sim::FaultPlan *plan_ = nullptr;
     sim::CheckHook *checkHook_ = nullptr;
-    std::set<Ino> dirty_;
+    /**
+     * The dirty set: bit (ino % 64) of word (ino / 64) is set while
+     * that inode has uncommitted metadata. Inode numbers are dense, so
+     * marking and clearing are O(1) and a batch is read in ascending
+     * order. Only words [dirtyLo_, dirtyHi_) may hold a set bit, so a
+     * commit scans the range its batch spans, not every inode number
+     * ever issued.
+     */
+    std::vector<std::uint64_t> dirty_;
+    std::size_t dirtyCount_ = 0;
+    std::size_t dirtyLo_ = SIZE_MAX;
+    std::size_t dirtyHi_ = 0;
     std::map<Ino, InodeRecord> committed_;
     /** Retired extents awaiting their inode's commit (volatile). */
     std::map<Ino, std::vector<Extent>> pendingRetired_;

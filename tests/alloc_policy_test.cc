@@ -578,4 +578,56 @@ TEST(AllocPolicy, FirstFitPlacementMatchesSortedVectorReference)
     EXPECT_GT(promotedYes, 1000u);
     EXPECT_GT(promotedNo, 1000u);
     EXPECT_GT(retired.size(), 40u);
+
+    // Goal-0 phase: new files carve from block 0, as aging and the
+    // sweeps' makeFile do, so each search starts at its size-class
+    // skip hint and raises it. Mixed sizes from both pools, coalescing
+    // frees that lower the hints and huge-aligned requests must still
+    // place exactly as the reference does.
+    std::uint64_t skippedPast = 0; // runs in front of each fit, summed
+    for (std::uint64_t call = 0; call < 60000; call++) {
+        const char *what = "";
+        const std::uint64_t avail = alloc.freeBlocks() + alloc.zeroedBlocks();
+        const std::uint64_t dice = rng.below(100);
+        if (held.empty() || (avail > kBlocks / 4 && dice < 50)) {
+            what = "alloc";
+            const bool huge = rng.below(12) == 0;
+            const std::uint64_t cls = rng.below(8);
+            const std::uint64_t count =
+                huge ? kBlocksPerHuge + rng.below(kBlocksPerHuge)
+                     : (1ULL << cls) + rng.below(1ULL << cls);
+            const std::uint64_t goal = rng.below(4) == 0 ? rng.below(64) : 0;
+            std::vector<bool> zGot;
+            std::vector<bool> zWant;
+            const auto got = alloc.alloc(count, goal, &zGot, huge);
+            const auto want = ref.alloc(count, goal, &zWant, huge);
+            ASSERT_EQ(got, want) << "goal-0 call " << call;
+            ASSERT_EQ(zGot, zWant) << "goal-0 call " << call;
+            if (!got.empty()) {
+                const Runs &pool = zGot[0] ? ref.zeroed_ : ref.free_;
+                skippedPast += std::count_if(
+                                   pool.begin(), pool.end(),
+                                   [&](const auto &run) {
+                                       return run.first < got[0].block;
+                                   });
+            }
+            for (const Extent &e : got)
+                held.push_back(e);
+        } else if (dice < 85) {
+            what = "free";
+            const Extent e = takeHeld();
+            alloc.free(e);
+            ref.free(e);
+        } else {
+            what = "freeZeroed";
+            const Extent e = takeHeld();
+            alloc.freeZeroed(e);
+            ref.freeZeroed(e);
+        }
+        ASSERT_EQ(stateDiff(alloc, ref), "")
+            << "goal-0 call " << call << " (" << what << ")";
+    }
+    // The fits lay past more than two shorter runs each on average:
+    // the runs the hints let a search skip.
+    EXPECT_GT(skippedPast, 50000u);
 }

@@ -248,6 +248,35 @@ TEST(FileTables, PersistingAMergedTailPopulatesEachBlockOnce)
     EXPECT_EQ(rebuild.now(), single.now());
 }
 
+TEST(FileTables, GrowingAnEvictedVolatileTableKeepsItsOlderBlocks)
+{
+    // remount() drops a small file's volatile table. The next timed
+    // allocation builds a new one, which must map the blocks allocated
+    // before as well as the added one.
+    Fixture f;
+    const fs::Ino ino = f.system.makeFile("/small", 16 * 1024);
+    sim::Cpu cpu(nullptr, 0, 0);
+    ASSERT_TRUE(f.system.open(cpu, "/small").has_value());
+    f.system.vfs().close(cpu, ino);
+    f.system.remount();
+    ASSERT_TRUE(f.system.fs().fallocate(cpu, ino, 16 * 1024, 4 * 1024));
+
+    const fs::Inode &node = f.system.fs().inode(ino);
+    auto &tables = f.system.fileTables()->tables(&cpu, ino);
+    ASSERT_FALSE(tables.table->persistent());
+    const arch::Node *pte = tables.table->pteNode(0);
+    ASSERT_NE(pte, nullptr);
+    for (unsigned i = 0; i < 5; i++) {
+        SCOPED_TRACE("entry " + std::to_string(i));
+        const auto run = node.find(i);
+        ASSERT_TRUE(run.has_value());
+        ASSERT_TRUE(arch::pte::present(pte->entry(i)));
+        EXPECT_EQ(arch::pte::addr(pte->entry(i)),
+                  f.system.fs().blockAddr(run->physBlock));
+    }
+    EXPECT_FALSE(arch::pte::present(pte->entry(5)));
+}
+
 TEST(FileTables, EmptinessMatchesFullScan)
 {
     // clearRange() frees a PTE page when the table's host-side record
