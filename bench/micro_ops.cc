@@ -50,8 +50,7 @@ void
 BM_PageTableWalk(benchmark::State &state)
 {
     sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, 64ULL << 20, cm,
-                     mem::Backing::Sparse);
+    mem::Device dram(mem::Kind::Dram, 64ULL << 20, cm);
     mem::FrameAllocator frames(dram, 0, 64ULL << 20);
     arch::PageTable pt(frames);
     for (std::uint64_t i = 0; i < 512; i++)
@@ -70,8 +69,7 @@ void
 BM_MmuTranslate(benchmark::State &state)
 {
     sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, 64ULL << 20, cm,
-                     mem::Backing::Sparse);
+    mem::Device dram(mem::Kind::Dram, 64ULL << 20, cm);
     mem::FrameAllocator frames(dram, 0, 64ULL << 20);
     arch::PageTable pt(frames);
     for (std::uint64_t i = 0; i < 4096; i++)
@@ -99,8 +97,7 @@ void
 BM_DeviceFlushLoop(benchmark::State &state)
 {
     sim::CostModel cm;
-    mem::Device pmem(mem::Kind::Pmem, 16ULL << 20, cm,
-                     mem::Backing::Sparse);
+    mem::Device pmem(mem::Kind::Pmem, 16ULL << 20, cm);
     std::array<std::uint8_t, mem::kCacheLine> payload;
     payload.fill(0xa5);
     for (auto _ : state) {
@@ -180,8 +177,7 @@ void
 BM_FrameAllocChurn(benchmark::State &state)
 {
     sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, kFrameRegion, cm,
-                     mem::Backing::Sparse);
+    mem::Device dram(mem::Kind::Dram, kFrameRegion, cm);
     mem::FrameAllocator frames(dram, 0, kFrameRegion);
     const std::uint64_t totalFrames = kFrameRegion / mem::kPageSize;
     std::vector<mem::Paddr> held;

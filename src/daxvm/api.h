@@ -88,7 +88,6 @@ class DaxVm
     {
         unmapper_.setBatchPages(pages);
     }
-    unsigned asyncBatchPages() const { return unmapper_.batchPages(); }
 
     AsyncUnmapper &unmapper() { return unmapper_; }
     FileTableManager &tables() { return tables_; }

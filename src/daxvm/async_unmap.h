@@ -35,7 +35,6 @@ class AsyncUnmapper
         state.pages += vma.usedPages != 0
                            ? vma.usedPages
                            : vma.length() / mem::kPageSize;
-        deferred_++;
     }
 
     /** True when @p as crossed the batch threshold. */
@@ -68,7 +67,6 @@ class AsyncUnmapper
 
     unsigned batchPages() const { return batchPages_; }
     void setBatchPages(unsigned pages) { batchPages_ = pages; }
-    std::uint64_t deferredTotal() const { return deferred_; }
 
   private:
     struct State
@@ -85,7 +83,6 @@ class AsyncUnmapper
      * process may inherit it.
      */
     std::map<arch::Asid, State> perAs_;
-    std::uint64_t deferred_ = 0;
 };
 
 } // namespace dax::daxvm

@@ -45,7 +45,6 @@ class PrezeroDaemon : public sim::Task, public fs::PrezeroSink
     void setEnabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
-    void setThrottle(sim::Bw throttle) { throttle_ = throttle; }
     sim::Bw throttle() const { return throttle_; }
 
     /**

@@ -175,8 +175,9 @@ FileSystem::zeroExtents(sim::Cpu &cpu, const std::vector<Extent> &extents,
         }
         const Extent &e = extents[i];
         pmem_.zero(alloc_.blockAddr(e.block), e.bytes());
-        pmem_.writeKernel(cpu, alloc_.blockAddr(e.block), e.bytes(),
-                          mem::WriteMode::NtStore, mem::Pattern::Seq);
+        pmem_.write(cpu, alloc_.blockAddr(e.block), e.bytes(),
+                    mem::WriteMode::NtStore, mem::Pattern::Seq,
+                    cm_.kernelCopyFactor);
         counters_.zeroedBlocks.addAt(cpu.coreId(), e.count);
     }
 }
@@ -329,9 +330,10 @@ FileSystem::write(sim::Cpu &cpu, Ino ino, std::uint64_t off, const void *src,
             pmem_.store(pa, static_cast<const std::uint8_t *>(src) + done,
                         chunk);
         }
-        pmem_.writeKernel(cpu, pa, chunk, mem::WriteMode::NtStore,
-                          chunk >= kBlockSize ? mem::Pattern::Seq
-                                              : mem::Pattern::Rand);
+        pmem_.write(cpu, pa, chunk, mem::WriteMode::NtStore,
+                    chunk >= kBlockSize ? mem::Pattern::Seq
+                                        : mem::Pattern::Rand,
+                    cm_.kernelCopyFactor);
         done += chunk;
     }
     if (end > node.size) {
@@ -384,8 +386,9 @@ FileSystem::read(sim::Cpu &cpu, Ino ino, std::uint64_t off, void *dst,
                 pmem_.fetch(pa, static_cast<std::uint8_t *>(dst) + done,
                             chunk);
             }
-            pmem_.readKernel(cpu, pa, chunk,
-                             seq ? mem::Pattern::Seq : mem::Pattern::Rand);
+            pmem_.read(cpu, pa, chunk,
+                       seq ? mem::Pattern::Seq : mem::Pattern::Rand,
+                       cm_.kernelCopyFactor);
         } catch (const mem::MachineCheckException &mc) {
             // Synchronous machine check: the kernel read path eats the
             // #MC and either repairs (remap policies; the loop retries
@@ -804,9 +807,10 @@ FileSystem::handlePoisonImpl(sim::Cpu &cpu, std::uint64_t paddr)
         // machine check inside the handler (the cost is address-
         // independent), and charging before the copy's own stores add
         // wear keeps the charge itself from tripping a fresh poison.
-        pmem_.readKernel(cpu, newPa, kBlockSize, mem::Pattern::Seq);
-        pmem_.writeKernel(cpu, newPa, kBlockSize, mem::WriteMode::NtStore,
-                          mem::Pattern::Seq);
+        pmem_.read(cpu, newPa, kBlockSize, mem::Pattern::Seq,
+                   cm_.kernelCopyFactor);
+        pmem_.write(cpu, newPa, kBlockSize, mem::WriteMode::NtStore,
+                    mem::Pattern::Seq, cm_.kernelCopyFactor);
         // Salvage the clean 64 B lines of the old block into the
         // replacement; only the poisoned lines themselves stay zero.
         std::uint8_t line[mem::kCacheLine];

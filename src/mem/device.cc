@@ -40,9 +40,8 @@ hashU01(std::uint64_t seed, std::uint64_t line, std::uint64_t stream)
 
 } // namespace
 
-Device::Device(Kind kind, std::uint64_t capacity, const sim::CostModel &cm,
-               Backing backing)
-    : kind_(kind), capacity_(capacity), cm_(cm), backing_(backing),
+Device::Device(Kind kind, std::uint64_t capacity, const sim::CostModel &cm)
+    : kind_(kind), capacity_(capacity), cm_(cm),
       readRes_(std::string(kindName(kind)) + ".read",
                kind == Kind::Dram ? cm.dramDeviceBw : cm.pmemDeviceReadBw),
       writeRes_(std::string(kindName(kind)) + ".write",
@@ -51,8 +50,6 @@ Device::Device(Kind kind, std::uint64_t capacity, const sim::CostModel &cm,
 {
     if (capacity % kPageSize != 0)
         throw std::invalid_argument("device capacity not page aligned");
-    if (backing_ == Backing::Full)
-        data_.assign(capacity_, 0);
     // Pre-size the hot overlays from capacity. The bounds are small on
     // purpose: the tables only ever grow (amortized, and never in a
     // flushRange inner loop - the scratch vector below decouples the
@@ -91,12 +88,14 @@ Device::checkRange(Paddr addr, std::uint64_t bytes) const
 }
 
 sim::Time
-Device::read(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes, Pattern pattern)
+Device::read(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes, Pattern pattern,
+             double copyFactor)
 {
     checkRange(addr, bytes);
     poisonCheck(addr, bytes);
-    const sim::Bw bw = kind_ == Kind::Dram ? cm_.dramReadBwCore
-                                           : cm_.pmemReadBwCore;
+    const sim::Bw bw = (kind_ == Kind::Dram ? cm_.dramReadBwCore
+                                            : cm_.pmemReadBwCore)
+                     * copyFactor;
     sim::Time elapsed = 0;
     if (pattern == Pattern::Rand) {
         // Latency-dominated: one uncached line fetch up front, the rest
@@ -110,7 +109,7 @@ Device::read(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes, Pattern pattern)
 
 sim::Time
 Device::write(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes, WriteMode mode,
-              Pattern pattern)
+              Pattern pattern, double copyFactor)
 {
     checkRange(addr, bytes);
     sim::Time elapsed = 0;
@@ -118,15 +117,16 @@ Device::write(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes, WriteMode mode,
       case WriteMode::Cached: {
         // Stores land in the cache; the medium sees traffic only on
         // eviction, which we fold into a generous cache bandwidth.
-        const sim::Bw bw = cm_.dramWriteBwCore;
-        const sim::Time dur = sim::CostModel::xfer(bytes, bw);
+        const sim::Time dur =
+            sim::CostModel::xfer(bytes, cm_.dramWriteBwCore * copyFactor);
         cpu.advance(dur);
         elapsed = dur;
         break;
       }
       case WriteMode::NtStore: {
-        const sim::Bw bw = kind_ == Kind::Dram ? cm_.dramWriteBwCore
-                                               : cm_.pmemNtStoreBwCore;
+        const sim::Bw bw = (kind_ == Kind::Dram ? cm_.dramWriteBwCore
+                                                : cm_.pmemNtStoreBwCore)
+                         * copyFactor;
         if (pattern == Pattern::Rand) {
             elapsed += loadLatency();
             cpu.advance(loadLatency());
@@ -135,64 +135,12 @@ Device::write(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes, WriteMode mode,
         break;
       }
       case WriteMode::CachedFlush: {
-        const sim::Bw bw = kind_ == Kind::Dram ? cm_.dramWriteBwCore
-                                               : cm_.pmemClwbBwCore;
+        const sim::Bw bw = (kind_ == Kind::Dram ? cm_.dramWriteBwCore
+                                                : cm_.pmemClwbBwCore)
+                         * copyFactor;
         elapsed += writeRes_.transfer(cpu, bytes, bw);
         break;
       }
-    }
-    return elapsed;
-}
-
-sim::Time
-Device::readKernel(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes,
-                   Pattern pattern)
-{
-    checkRange(addr, bytes);
-    poisonCheck(addr, bytes);
-    const sim::Bw bw = (kind_ == Kind::Dram ? cm_.dramReadBwCore
-                                            : cm_.pmemReadBwCore)
-                     * cm_.kernelCopyFactor;
-    sim::Time elapsed = 0;
-    if (pattern == Pattern::Rand) {
-        elapsed += loadLatency();
-        cpu.advance(loadLatency());
-    }
-    elapsed += readRes_.transfer(cpu, bytes, bw);
-    return elapsed;
-}
-
-sim::Time
-Device::writeKernel(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes,
-                    WriteMode mode, Pattern pattern)
-{
-    checkRange(addr, bytes);
-    sim::Bw bw;
-    switch (mode) {
-      case WriteMode::Cached:
-        bw = cm_.dramWriteBwCore;
-        break;
-      case WriteMode::NtStore:
-        bw = kind_ == Kind::Dram ? cm_.dramWriteBwCore
-                                 : cm_.pmemNtStoreBwCore;
-        break;
-      case WriteMode::CachedFlush:
-      default:
-        bw = kind_ == Kind::Dram ? cm_.dramWriteBwCore : cm_.pmemClwbBwCore;
-        break;
-    }
-    bw *= cm_.kernelCopyFactor;
-    sim::Time elapsed = 0;
-    if (pattern == Pattern::Rand && mode != WriteMode::Cached) {
-        elapsed += loadLatency();
-        cpu.advance(loadLatency());
-    }
-    if (mode == WriteMode::Cached) {
-        const sim::Time dur = sim::CostModel::xfer(bytes, bw);
-        cpu.advance(dur);
-        elapsed += dur;
-    } else {
-        elapsed += writeRes_.transfer(cpu, bytes, bw);
     }
     return elapsed;
 }
@@ -345,29 +293,18 @@ Device::fetch(Paddr addr, void *dst, std::uint64_t bytes) const
 void
 Device::fetchRaw(Paddr addr, void *dst, std::uint64_t bytes) const
 {
-    switch (backing_) {
-      case Backing::Full:
-        std::memcpy(dst, data_.data() + addr, bytes);
-        break;
-      case Backing::None:
-        std::memset(dst, 0, bytes);
-        return;
-      case Backing::Sparse: {
-        auto *out = static_cast<std::uint8_t *>(dst);
-        std::uint64_t done = 0;
-        while (done < bytes) {
-            const Paddr a = addr + done;
-            const std::uint64_t inPage = a % kPageSize;
-            const std::uint64_t chunk =
-                std::min(bytes - done, kPageSize - inPage);
-            if (const std::uint8_t *page = sparsePage(a))
-                std::memcpy(out + done, page + inPage, chunk);
-            else
-                std::memset(out + done, 0, chunk);
-            done += chunk;
-        }
-        break;
-      }
+    auto *out = static_cast<std::uint8_t *>(dst);
+    std::uint64_t done = 0;
+    while (done < bytes) {
+        const Paddr a = addr + done;
+        const std::uint64_t inPage = a % kPageSize;
+        const std::uint64_t chunk =
+            std::min(bytes - done, kPageSize - inPage);
+        if (const std::uint8_t *page = sparsePage(a))
+            std::memcpy(out + done, page + inPage, chunk);
+        else
+            std::memset(out + done, 0, chunk);
+        done += chunk;
     }
     // CPU loads are coherent with the cache: overlay dirty lines.
     if (!dirtyLines_.empty())
@@ -377,15 +314,6 @@ Device::fetchRaw(Paddr addr, void *dst, std::uint64_t bytes) const
 void
 Device::storeDurable(Paddr addr, const void *src, std::uint64_t bytes)
 {
-    switch (backing_) {
-      case Backing::Full:
-        std::memcpy(data_.data() + addr, src, bytes);
-        return;
-      case Backing::None:
-        return;
-      case Backing::Sparse:
-        break;
-    }
     const auto *in = static_cast<const std::uint8_t *>(src);
     std::uint64_t done = 0;
     while (done < bytes) {
@@ -458,22 +386,12 @@ Device::mergeVolatile(Paddr addr, void *dst, std::uint64_t bytes) const
 }
 
 void
-Device::store(Paddr addr, const void *src, std::uint64_t bytes,
-              WriteMode mode)
+Device::beginDurable(Paddr addr, std::uint64_t bytes)
 {
-    checkRange(addr, bytes);
-    if (backing_ == Backing::None)
-        return;
-    // Only PMem has persistence semantics worth modeling: DRAM content
-    // is volatile regardless, so its cached stores land directly.
-    if (mode == WriteMode::Cached && kind_ == Kind::Pmem) {
-        storeVolatile(addr, src, bytes);
-        return;
-    }
-    // A crash fired from this boundary interrupts the ntstore
-    // mid-line: remember the line so crash() can poison the torn ECC
-    // word. Completing the store (or any later durable store) clears
-    // the candidate.
+    // A crash fired from this boundary interrupts the store mid-line:
+    // remember the line so crash() can poison the torn ECC word.
+    // Completing the store (or any later durable store) clears the
+    // candidate.
     if (mediaEnabled_ && media_.poisonTornStore && kind_ == Kind::Pmem) {
         tornLine_ = addr / kCacheLine;
         tornPending_ = true;
@@ -483,6 +401,20 @@ Device::store(Paddr addr, const void *src, std::uint64_t bytes,
         fireEvent(sim::FaultEvent::DurableStore, bytes);
     }
     noteWear(addr, bytes);
+}
+
+void
+Device::store(Paddr addr, const void *src, std::uint64_t bytes,
+              WriteMode mode)
+{
+    checkRange(addr, bytes);
+    // Only PMem has persistence semantics worth modeling: DRAM content
+    // is volatile regardless, so its cached stores land directly.
+    if (mode == WriteMode::Cached && kind_ == Kind::Pmem) {
+        storeVolatile(addr, src, bytes);
+        return;
+    }
+    beginDurable(addr, bytes);
     storeDurable(addr, src, bytes);
     // ntstore invalidates the cached lines; clwb writes them back -
     // either way the covered bytes stop being volatile.
@@ -493,33 +425,19 @@ void
 Device::zero(Paddr addr, std::uint64_t bytes)
 {
     checkRange(addr, bytes);
-    if (backing_ == Backing::None)
-        return;
-    if (mediaEnabled_ && media_.poisonTornStore && kind_ == Kind::Pmem) {
-        tornLine_ = addr / kCacheLine;
-        tornPending_ = true;
-        fireEvent(sim::FaultEvent::DurableStore, bytes);
-        tornPending_ = false;
-    } else {
-        fireEvent(sim::FaultEvent::DurableStore, bytes);
-    }
-    noteWear(addr, bytes);
-    if (backing_ == Backing::Full) {
-        std::memset(data_.data() + addr, 0, bytes);
-    } else {
-        std::uint64_t done = 0;
-        while (done < bytes) {
-            const Paddr a = addr + done;
-            const std::uint64_t inPage = a % kPageSize;
-            const std::uint64_t chunk =
-                std::min(bytes - done, kPageSize - inPage);
-            if (inPage == 0 && chunk == kPageSize) {
-                sparse_.erase(a / kPageSize); // whole page back to zero
-            } else if (sparsePage(a) != nullptr) {
-                std::memset(sparsePageForWrite(a) + inPage, 0, chunk);
-            }
-            done += chunk;
+    beginDurable(addr, bytes);
+    std::uint64_t done = 0;
+    while (done < bytes) {
+        const Paddr a = addr + done;
+        const std::uint64_t inPage = a % kPageSize;
+        const std::uint64_t chunk =
+            std::min(bytes - done, kPageSize - inPage);
+        if (inPage == 0 && chunk == kPageSize) {
+            sparse_.erase(a / kPageSize); // whole page back to zero
+        } else if (sparsePage(a) != nullptr) {
+            std::memset(sparsePageForWrite(a) + inPage, 0, chunk);
         }
+        done += chunk;
     }
     invalidateVolatile(addr, bytes);
 }
@@ -659,18 +577,6 @@ Device::isZero(Paddr addr, std::uint64_t bytes) const
             }
             return true;
         }
-    }
-    switch (backing_) {
-      case Backing::None:
-        return true;
-      case Backing::Full:
-        for (std::uint64_t i = 0; i < bytes; i++) {
-            if (data_[addr + i] != 0)
-                return false;
-        }
-        return true;
-      case Backing::Sparse:
-        break;
     }
     std::uint64_t done = 0;
     while (done < bytes) {

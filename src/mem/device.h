@@ -2,10 +2,14 @@
  * @file
  * Memory device models: DRAM and PMem (Intel Optane DCPMM, AppDirect).
  *
- * A Device is both *functional* (an optionally byte-backed physical
- * address space, so file data, page tables and zeroing are real and
- * testable) and *timed* (reads/writes charge latency and occupy shared
- * bandwidth channels, so saturation across cores emerges).
+ * A Device is both *functional* (a byte-backed physical address space,
+ * so file data, page tables and zeroing are real and testable) and
+ * *timed* (reads/writes charge latency and occupy shared bandwidth
+ * channels, so saturation across cores emerges).
+ *
+ * The byte store is sparse: a 4 KB host page materializes on first
+ * write (untouched bytes read zero) and a whole-page zero() frees it,
+ * which keeps multi-GB simulated devices cheap.
  *
  * PMem asymmetries that the paper's results depend on are first class:
  * read bandwidth >> write bandwidth, ntstore ~2x the effective
@@ -70,13 +74,6 @@ class MachineCheckException : public std::exception
     Paddr addr_;
 };
 
-/**
- * Byte-store strategy. Sparse materializes 4 KB host pages on first
- * write (untouched bytes read zero), keeping multi-GB simulated
- * devices cheap while page tables and file data stay functional.
- */
-enum class Backing { None, Sparse, Full };
-
 /** Access pattern hint for the timing model. */
 enum class Pattern { Seq, Rand };
 
@@ -98,37 +95,33 @@ class Device
      * @param kind DRAM or PMem timing personality
      * @param capacity size in bytes (must be page aligned)
      * @param cm cost model (must outlive the device)
-     * @param backing byte-store strategy (Sparse by default)
      */
-    Device(Kind kind, std::uint64_t capacity, const sim::CostModel &cm,
-           Backing backing = Backing::Sparse);
+    Device(Kind kind, std::uint64_t capacity, const sim::CostModel &cm);
 
     Kind kind() const { return kind_; }
     std::uint64_t capacity() const { return capacity_; }
-    bool backed() const { return backing_ != Backing::None; }
-    Backing backing() const { return backing_; }
 
     // ------------------------------------------------------------------
     // Timed data-path operations
     // ------------------------------------------------------------------
 
-    /** Timed read of @p bytes at @p addr; @return elapsed time. */
+    /**
+     * Timed read of @p bytes at @p addr; @return elapsed time.
+     * @param copyFactor scales the per-core copy bandwidth: 1.0 for a
+     *        user copy, CostModel::kernelCopyFactor for a kernel copy,
+     *        which cannot use AVX-512 (paper Section III-C)
+     */
     sim::Time read(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes,
-                   Pattern pattern);
-
-    /** Timed write; @return elapsed time. */
-    sim::Time write(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes,
-                    WriteMode mode, Pattern pattern);
+                   Pattern pattern, double copyFactor = 1.0);
 
     /**
-     * Timed kernel-space copy cost adjustment: the kernel cannot use
-     * AVX-512 (paper Section III-C), so its copies run at
-     * kernelCopyFactor of the user bandwidth.
+     * Timed write; @return elapsed time. A Rand pattern adds one load
+     * latency up front to NtStore writes only.
+     * @param copyFactor as for read()
      */
-    sim::Time readKernel(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes,
-                         Pattern pattern);
-    sim::Time writeKernel(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes,
-                          WriteMode mode, Pattern pattern);
+    sim::Time write(sim::Cpu &cpu, Paddr addr, std::uint64_t bytes,
+                    WriteMode mode, Pattern pattern,
+                    double copyFactor = 1.0);
 
     /** Background-daemon write occupying device bandwidth only. */
     sim::Time occupyWrite(sim::Time at, std::uint64_t bytes);
@@ -217,9 +210,6 @@ class Device
      */
     void setMedia(const sim::MediaSpec *spec);
 
-    /** True when a media model is installed. */
-    bool mediaEnabled() const { return mediaEnabled_; }
-
     /** Explicitly poison the line containing @p addr (tests, torn
      *  stores). */
     void poisonLine(Paddr addr);
@@ -268,6 +258,12 @@ class Device
     /** Sparse page for @p addr, materializing it. */
     std::uint8_t *sparsePageForWrite(Paddr addr);
 
+    /**
+     * Persistence boundary of a durable store or zero: fire the
+     * DurableStore fault event (capturing the torn-line candidate) and
+     * count the wear.
+     */
+    void beginDurable(Paddr addr, std::uint64_t bytes);
     /** Durable byte store write (no persistence bookkeeping). */
     void storeDurable(Paddr addr, const void *src, std::uint64_t bytes);
     /** Record a Cached store in the volatile overlay. */
@@ -291,8 +287,6 @@ class Device
     Kind kind_;
     std::uint64_t capacity_;
     const sim::CostModel &cm_;
-    Backing backing_;
-    std::vector<std::uint8_t> data_; // Full backing
     /** Page index -> 4 KB host page, open-addressed (hot on every
      *  functional access; flat so a probe is one cache line). */
     sim::FlatHash64<std::unique_ptr<std::uint8_t[]>> sparse_;

@@ -148,12 +148,6 @@ Engine::run()
 }
 
 Time
-Engine::threadClock(int threadId) const
-{
-    return threads_.at(threadId)->cpu.now();
-}
-
-Time
 Engine::maxThreadClock() const
 {
     Time t = 0;

@@ -150,9 +150,6 @@ class Engine
      */
     Time run();
 
-    /** Clock of a thread (valid after run() too). */
-    Time threadClock(int threadId) const;
-
     /** Number of threads added so far (workers and daemons). */
     std::size_t threadCount() const { return threads_.size(); }
 

@@ -139,16 +139,6 @@ class FlatHash64
         }
     }
 
-    template <typename Fn>
-    void
-    forEachMut(Fn &&fn)
-    {
-        for (std::size_t i = 0; i < keys_.size(); i++) {
-            if (keys_[i] != kEmptyKey)
-                fn(keys_[i], vals_[i]);
-        }
-    }
-
   private:
     static std::size_t
     slotOf(std::uint64_t key, std::size_t mask)

@@ -103,9 +103,6 @@ class Mutex
     /** Busy periods, for invariant checkers. */
     const BusyIntervals &busy() const { return busy_; }
 
-    /** Mutable busy periods for corruption-injection tests only. */
-    BusyIntervals &busyForTest() { return busy_; }
-
   private:
     std::string name_;
     BusyIntervals busy_;

@@ -198,15 +198,6 @@ MetricsRegistry::counterValue(const std::string &name) const
     return total;
 }
 
-double
-MetricsRegistry::gaugeValue(const std::string &name) const
-{
-    const Entry *entry = lookup(name);
-    return entry != nullptr && entry->kind == MetricKind::Gauge
-               ? entry->gauge
-               : 0.0;
-}
-
 HistogramData
 MetricsRegistry::histogramValue(const std::string &name) const
 {

@@ -270,7 +270,6 @@ class MetricsRegistry
 
     /** Merged counter value; 0 when @p name is absent or not a counter. */
     std::uint64_t counterValue(const std::string &name) const;
-    double gaugeValue(const std::string &name) const;
     HistogramData histogramValue(const std::string &name) const;
 
     /**
@@ -363,8 +362,6 @@ class MetricsTimeline
 
     bool closed() const { return closed_; }
     Time windowNs() const { return cfg_.windowNs; }
-    std::size_t windowCount() const { return windows_.size(); }
-    std::uint64_t truncatedWindows() const { return truncated_; }
 
     /** One timeline run object (see docs/metrics.md for the schema). */
     Json toJson() const;

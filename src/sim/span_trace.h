@@ -132,9 +132,6 @@ class SpanRecorder
     void setCapacity(std::size_t perTrackEvents);
     std::size_t capacity() const { return capacity_; }
 
-    /** Virtual-time period between counter samples (0 disables). */
-    void setSamplePeriod(Time period) { samplePeriod_ = period; }
-
     /**
      * Register a new trace process (one per sys::System); subsequent
      * events carry its pid. @p counters, when non-null, becomes the

@@ -18,11 +18,8 @@ namespace dax::sys {
 System::System(const SystemConfig &config)
     : config_(config), metrics_(config.cores), engine_(config.cores),
       pmem_(mem::Kind::Pmem, config.pmemBytes + config.pmemTableBytes,
-            config_.cm, config.backing == mem::Backing::None
-                            ? mem::Backing::Sparse
-                            : config.backing),
-      dram_(mem::Kind::Dram, config.dramBytes, config_.cm,
-            mem::Backing::Sparse),
+            config_.cm),
+      dram_(mem::Kind::Dram, config.dramBytes, config_.cm),
       dramMeta_(dram_, 0, config.dramBytes),
       pmemTables_(pmem_, config.pmemBytes, config.pmemTableBytes),
       hub_(config_.cm, config.cores, &metrics_),

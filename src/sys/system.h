@@ -47,7 +47,6 @@ struct SystemConfig
     std::uint64_t pmemTableBytes = 256ULL << 20;
     /** DRAM metadata region (process page tables, volatile tables). */
     std::uint64_t dramBytes = 2ULL << 30;
-    mem::Backing backing = mem::Backing::Sparse;
     fs::Personality personality = fs::Personality::Ext4Dax;
     /** Instantiate the DaxVM subsystem (file tables, daxvm_mmap). */
     bool daxvm = true;

@@ -34,6 +34,8 @@ AddressSpace::memRead(sim::Cpu &cpu, std::uint64_t va, std::uint64_t len,
     noteCore(cpu.coreId());
     const sim::Time begin = cpu.now();
     arch::Mmu &mmu = vmm_.hub().mmu(cpu.coreId());
+    const double copyFactor =
+        kernelCopy ? vmm_.cm().kernelCopyFactor : 1.0;
 
     std::uint64_t done = 0;
     bool first = true;
@@ -61,10 +63,7 @@ AddressSpace::memRead(sim::Cpu &cpu, std::uint64_t va, std::uint64_t len,
         const mem::Pattern p =
             first ? pattern : mem::Pattern::Seq;
         try {
-            if (kernelCopy)
-                dev.readKernel(cpu, r.paddr, chunk, p);
-            else
-                dev.read(cpu, r.paddr, chunk, p);
+            dev.read(cpu, r.paddr, chunk, p, copyFactor);
             if (dst != nullptr) {
                 dev.fetch(r.paddr,
                           static_cast<std::uint8_t *>(dst) + done, chunk);

@@ -14,7 +14,7 @@
 namespace dax::vm {
 
 const std::vector<VmManager::MappingRef> VmManager::kNoMappings;
-const DirtySet VmManager::kNoDirty;
+const fs::IntervalMap VmManager::kNoDirty;
 
 VmManager::VmManager(const sim::CostModel &cm, arch::ShootdownHub &hub,
                      fs::FileSystem &fs, mem::FrameAllocator &dramMeta,
@@ -115,31 +115,6 @@ VmManager::unregisterSpace(AddressSpace *as)
 }
 
 void
-dirtySetInsert(DirtySet &set, std::uint64_t start, std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    std::uint64_t end = start + count;
-
-    // Merge with any overlapping/adjacent predecessor.
-    auto it = set.upper_bound(start);
-    if (it != set.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second >= start) {
-            start = prev->first;
-            end = std::max(end, prev->first + prev->second);
-            it = set.erase(prev);
-        }
-    }
-    // Swallow successors.
-    while (it != set.end() && it->first <= end) {
-        end = std::max(end, it->first + it->second);
-        it = set.erase(it);
-    }
-    set.emplace(start, end - start);
-}
-
-void
 VmManager::registerMapping(fs::Ino ino, AddressSpace *as,
                            std::uint64_t vmaStart)
 {
@@ -174,11 +149,11 @@ VmManager::markDirty(sim::Cpu &cpu, fs::Ino ino, std::uint64_t startPage,
                      std::uint64_t count)
 {
     cpu.advance(cm_.dirtyTag);
-    dirtySetInsert(inodeVm(ino).dirty, startPage, count);
+    fs::intervalInsert(inodeVm(ino).dirty, startPage, count);
     counters_.dirtyTags.addAt(cpu.coreId());
 }
 
-const DirtySet &
+const fs::IntervalMap &
 VmManager::dirtyOf(fs::Ino ino) const
 {
     auto it = inodeVm_.find(ino);
@@ -188,12 +163,7 @@ VmManager::dirtyOf(fs::Ino ino) const
 std::uint64_t
 VmManager::dirtyPages(fs::Ino ino) const
 {
-    std::uint64_t total = 0;
-    for (const auto &[start, count] : dirtyOf(ino)) {
-        (void)start;
-        total += count;
-    }
-    return total;
+    return fs::intervalTotal(dirtyOf(ino));
 }
 
 void
@@ -236,13 +206,9 @@ VmManager::syncFile(sim::Cpu &cpu, fs::Ino ino, std::uint64_t off,
 
     // Flush dirty intervals in range and collect pages to re-protect.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> flushed;
-    for (auto it = iv.dirty.begin(); it != iv.dirty.end();) {
-        const std::uint64_t start = it->first;
-        const std::uint64_t count = it->second;
-        if (start >= endPage || start + count <= firstPage) {
-            ++it;
+    for (const auto &[start, count] : iv.dirty) {
+        if (start >= endPage || start + count <= firstPage)
             continue;
-        }
         const std::uint64_t s = std::max(start, firstPage);
         const std::uint64_t e = std::min(start + count, endPage);
         if (!flushWhole) {
@@ -266,14 +232,10 @@ VmManager::syncFile(sim::Cpu &cpu, fs::Ino ino, std::uint64_t off,
             }
         }
         flushed.emplace_back(s, e - s);
-        // Trim the interval out of the dirty set.
-        it = iv.dirty.erase(it);
-        if (start < s)
-            iv.dirty.emplace(start, s - start);
-        if (start + count > e)
-            iv.dirty.emplace(e, start + count - e);
         counters_.syncFlushedPages.addAt(cpu.coreId(), e - s);
     }
+    // The synced range is clean; its unsynced ends stay tagged.
+    fs::intervalErase(iv.dirty, firstPage, endPage - firstPage);
 
     // Write-protect flushed pages in every mapping process to restart
     // dirty tracking, with shootdowns (paper Section III-A4).

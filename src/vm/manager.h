@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -23,6 +22,7 @@
 #include "arch/perf.h"
 #include "arch/shootdown.h"
 #include "fs/file_system.h"
+#include "fs/interval.h"
 #include "mem/frame_alloc.h"
 #include "sim/cost_model.h"
 #include "sim/locks.h"
@@ -57,9 +57,6 @@ class SigBusException : public std::exception
     std::uint64_t va_;
     std::uint64_t paddr_;
 };
-
-/** Dirty intervals in units of 4 KB file pages: startPage -> count. */
-using DirtySet = std::map<std::uint64_t, std::uint64_t>;
 
 class VmManager : public fs::FsHooks
 {
@@ -97,8 +94,11 @@ class VmManager : public fs::FsHooks
     void markDirty(sim::Cpu &cpu, fs::Ino ino, std::uint64_t startPage,
                    std::uint64_t count);
 
-    /** Dirty intervals of a file (empty set when clean). */
-    const DirtySet &dirtyOf(fs::Ino ino) const;
+    /**
+     * Dirty intervals of a file in 4 KB file pages, startPage -> count
+     * (empty when clean).
+     */
+    const fs::IntervalMap &dirtyOf(fs::Ino ino) const;
 
     /** Total dirty 4 KB pages of @p ino. */
     std::uint64_t dirtyPages(fs::Ino ino) const;
@@ -228,7 +228,7 @@ class VmManager : public fs::FsHooks
     struct InodeVm
     {
         std::vector<MappingRef> mappings;
-        DirtySet dirty;
+        fs::IntervalMap dirty;
     };
 
     InodeVm &inodeVm(fs::Ino ino) { return inodeVm_[ino]; }
@@ -260,11 +260,7 @@ class VmManager : public fs::FsHooks
     sim::Time retiredExecNs_ = 0;
 
     static const std::vector<MappingRef> kNoMappings;
-    static const DirtySet kNoDirty;
+    static const fs::IntervalMap kNoDirty;
 };
-
-/** Insert [start, start+count) into a dirty interval set, merging. */
-void dirtySetInsert(DirtySet &set, std::uint64_t start,
-                    std::uint64_t count);
 
 } // namespace dax::vm

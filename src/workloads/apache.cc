@@ -27,8 +27,8 @@ apacheServeRequest(sim::Cpu &cpu, sys::System &system,
         system.fs().read(cpu, ino, 0, nullptr, bytes);
         // Copy 2: buffer (cache-hot) -> socket buffers.
         cpu.advance(cm.socketSyscall);
-        system.dram().writeKernel(cpu, 0, bytes, mem::WriteMode::Cached,
-                                  mem::Pattern::Seq);
+        system.dram().write(cpu, 0, bytes, mem::WriteMode::Cached,
+                            mem::Pattern::Seq, cm.kernelCopyFactor);
     } else {
         const std::uint64_t va = mapFile(cpu, system, as, ino, 0,
                                          bytes, false, access);

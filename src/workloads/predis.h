@@ -20,6 +20,34 @@
 
 namespace dax::wl {
 
+/** Where a booted P-Redis server has its cache and index mapped. */
+struct PRedisMaps
+{
+    std::uint64_t storeVa = 0;
+    std::uint64_t storeBytes = 0;
+    std::uint64_t indexVa = 0;
+    std::uint64_t indexBytes = 0;
+};
+
+/**
+ * Server boot: map the persistent cache and index read-write. Throws
+ * std::runtime_error when either map fails. The boot and predisGet()
+ * are the request model that the closed-loop PRedisServer and the
+ * open-loop P-Redis tenant (workloads/tenant.h) share.
+ */
+PRedisMaps predisBoot(sim::Cpu &cpu, sys::System &system,
+                      vm::AddressSpace &as, fs::Ino store,
+                      std::uint64_t storeBytes, fs::Ino index,
+                      std::uint64_t indexBytes,
+                      const AccessOptions &access);
+
+/**
+ * One GET of a value drawn from @p rng: a hash-table probe in the
+ * index, then the value read.
+ */
+void predisGet(sim::Cpu &cpu, vm::AddressSpace &as, const PRedisMaps &maps,
+               std::uint64_t valueBytes, sim::Rng &rng);
+
 class PRedisServer : public sim::Task
 {
   public:
@@ -61,8 +89,7 @@ class PRedisServer : public sim::Task
     vm::AddressSpace &as_;
     Config config_;
     sim::Rng rng_;
-    std::uint64_t storeVa_ = 0;
-    std::uint64_t indexVa_ = 0;
+    PRedisMaps maps_;
     sim::Time bootLatency_ = 0;
     std::uint64_t opsDone_ = 0;
     std::vector<std::pair<sim::Time, std::uint64_t>> timeline_;

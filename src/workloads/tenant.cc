@@ -126,27 +126,13 @@ Tenant::serveApache(sim::Cpu &cpu)
 void
 Tenant::servePRedis(sim::Cpu &cpu)
 {
-    if (storeVa_ == 0) {
-        // Server boot on the first request: map the persistent cache
-        // and index (P-Redis model, predis.h). The first request's
+    if (predis_.storeVa == 0) {
+        // Server boot on the first request: the first request's
         // latency carries the boot cost, as a real restart would.
-        storeVa_ = mapFile(cpu, system_, *as_, store_, 0,
-                           spec_.storeBytes, /*write=*/true,
-                           spec_.access);
-        indexVa_ = mapFile(cpu, system_, *as_, index_, 0,
-                           spec_.indexBytes, /*write=*/true,
-                           spec_.access);
-        if (storeVa_ == 0 || indexVa_ == 0)
-            throw std::runtime_error("tenant: predis map failed");
+        predis_ = predisBoot(cpu, system_, *as_, store_, spec_.storeBytes,
+                             index_, spec_.indexBytes, spec_.access);
     }
-    // GET: hash-table probe in the index, then the value read.
-    const std::uint64_t values = spec_.storeBytes / spec_.valueBytes;
-    const std::uint64_t v = serveRng_.below(values);
-    const std::uint64_t slot =
-        (v * 0x9e3779b97f4a7c15ULL) % (spec_.indexBytes / 64);
-    as_->memRead(cpu, indexVa_ + slot * 64, 64, mem::Pattern::Rand);
-    as_->memRead(cpu, storeVa_ + v * spec_.valueBytes,
-                 spec_.valueBytes, mem::Pattern::Rand);
+    predisGet(cpu, *as_, predis_, spec_.valueBytes, serveRng_);
 }
 
 void
@@ -154,26 +140,8 @@ Tenant::serveYcsb(sim::Cpu &cpu)
 {
     if (nextInsert_ < spec_.records)
         throw std::logic_error("tenant: ycsb served before preload");
-    const double u = serveRng_.uniform();
-    const YcsbMix &mix = spec_.mix;
-    if (u < mix.insert) {
-        kv_->put(cpu, nextInsert_++);
-    } else if (u < mix.insert + mix.update) {
-        kv_->put(cpu, zipf_->next(serveRng_));
-    } else if (u < mix.insert + mix.update + mix.scan) {
-        kv_->scan(cpu, zipf_->next(serveRng_), spec_.scanLength);
-    } else {
-        std::uint64_t key;
-        if (mix.readLatest && nextInsert_ > spec_.records) {
-            const std::uint64_t back =
-                zipf_->next(serveRng_)
-                % (nextInsert_ - spec_.records + 1);
-            key = nextInsert_ - 1 - back;
-        } else {
-            key = zipf_->next(serveRng_);
-        }
-        kv_->get(cpu, key);
-    }
+    ycsbOp(cpu, *kv_, spec_.mix, spec_.records, spec_.scanLength,
+           serveRng_, *zipf_, nextInsert_);
 }
 
 double

@@ -26,6 +26,7 @@
 
 #include "workloads/kvstore.h"
 #include "workloads/openloop.h"
+#include "workloads/predis.h"
 #include "workloads/ycsb.h"
 
 namespace dax::wl {
@@ -129,8 +130,7 @@ class Tenant : public OpenLoopService
     // P-Redis (booted lazily on first serve)
     fs::Ino store_ = 0;
     fs::Ino index_ = 0;
-    std::uint64_t storeVa_ = 0;
-    std::uint64_t indexVa_ = 0;
+    PRedisMaps predis_;
 
     // YCSB
     std::unique_ptr<KvStore> kv_;

@@ -33,6 +33,18 @@ struct YcsbMix
     static YcsbMix runE() { return {0, 0, 0.05, 0.95, false, "Run E"}; }
 };
 
+/**
+ * One operation drawn from @p mix: an insert of key @p nextInsert
+ * (which advances the cursor), or an update, scan or read of a
+ * Zipf-drawn key, read-latest skewed towards the keys inserted past
+ * the @p records preloaded ones. YcsbRunner and the open-loop YCSB
+ * tenant (workloads/tenant.h) both serve through it, so they draw
+ * from @p rng and @p zipf in the same order.
+ */
+void ycsbOp(sim::Cpu &cpu, KvStore &kv, const YcsbMix &mix,
+            std::uint64_t records, unsigned scanLength, sim::Rng &rng,
+            sim::Zipf &zipf, std::uint64_t &nextInsert);
+
 class YcsbRunner : public sim::Task
 {
   public:

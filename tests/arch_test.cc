@@ -22,10 +22,8 @@ namespace {
 struct Fixture
 {
     sim::CostModel cm;
-    mem::Device dram{mem::Kind::Dram, 64ULL << 20, cm,
-                     mem::Backing::Sparse};
-    mem::Device pmemDev{mem::Kind::Pmem, 64ULL << 20, cm,
-                        mem::Backing::Sparse};
+    mem::Device dram{mem::Kind::Dram, 64ULL << 20, cm};
+    mem::Device pmemDev{mem::Kind::Pmem, 64ULL << 20, cm};
     mem::FrameAllocator dramFrames{dram, 0, 64ULL << 20};
     mem::FrameAllocator pmemFrames{pmemDev, 0, 64ULL << 20};
 };

@@ -43,7 +43,7 @@ smallConfig(fs::Personality personality)
 TEST(DevicePersistence, CachedWriteIsVolatileUntilCrash)
 {
     sim::CostModel cm;
-    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm, mem::Backing::Sparse);
+    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm);
     const std::uint64_t v = 0xdeadbeefcafef00dULL;
     dev.store(4096, &v, sizeof(v), mem::WriteMode::Cached);
     EXPECT_EQ(dev.volatileLines(), 1u);
@@ -62,7 +62,7 @@ TEST(DevicePersistence, CachedWriteIsVolatileUntilCrash)
 TEST(DevicePersistence, FlushRangeMakesDurable)
 {
     sim::CostModel cm;
-    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm, mem::Backing::Sparse);
+    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm);
     const std::uint64_t v = 42;
     dev.store(4096, &v, sizeof(v), mem::WriteMode::Cached);
     EXPECT_EQ(dev.flushRange(4096, 64), 1u);
@@ -76,7 +76,7 @@ TEST(DevicePersistence, FlushRangeMakesDurable)
 TEST(DevicePersistence, DrainMakesEverythingDurable)
 {
     sim::CostModel cm;
-    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm, mem::Backing::Sparse);
+    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm);
     for (std::uint64_t i = 0; i < 5; i++) {
         const std::uint64_t v = i + 1;
         dev.store(i * 4096, &v, sizeof(v), mem::WriteMode::Cached);
@@ -94,7 +94,7 @@ TEST(DevicePersistence, DrainMakesEverythingDurable)
 TEST(DevicePersistence, NtStoreInvalidatesCachedLine)
 {
     sim::CostModel cm;
-    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm, mem::Backing::Sparse);
+    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm);
     const std::uint64_t cached = 1, durable = 2;
     dev.store(0, &cached, sizeof(cached), mem::WriteMode::Cached);
     dev.store(0, &durable, sizeof(durable), mem::WriteMode::NtStore);
@@ -110,7 +110,7 @@ TEST(DevicePersistence, NtStoreInvalidatesCachedLine)
 TEST(DevicePersistence, PartialLineFlushKeepsOtherLines)
 {
     sim::CostModel cm;
-    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm, mem::Backing::Sparse);
+    mem::Device dev(mem::Kind::Pmem, 1 << 20, cm);
     const std::uint64_t a = 7, b = 9;
     dev.store(0, &a, sizeof(a), mem::WriteMode::Cached);
     dev.store(256, &b, sizeof(b), mem::WriteMode::Cached);
@@ -175,7 +175,7 @@ namespace {
 struct FsFixture
 {
     explicit FsFixture(fs::Personality personality)
-        : pmem(mem::Kind::Pmem, 64ULL << 20, cm, mem::Backing::Sparse),
+        : pmem(mem::Kind::Pmem, 64ULL << 20, cm),
           fs(personality, pmem, 0, 64ULL << 20, cm)
     {}
 

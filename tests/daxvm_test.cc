@@ -285,8 +285,7 @@ TEST(FileTables, EmptinessMatchesFullScan)
     // every page must agree on which chunks hold a page, and the
     // table's node count and frame use must match it.
     sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, 16ULL << 20, cm,
-                     mem::Backing::Sparse);
+    mem::Device dram(mem::Kind::Dram, 16ULL << 20, cm);
     mem::FrameAllocator frames(dram, 0, 16ULL << 20);
     constexpr std::uint64_t kChunks = 3;
     constexpr std::uint64_t kBlocks = kChunks * fs::kBlocksPerHuge;

@@ -34,7 +34,7 @@ struct Fixture
 {
     explicit Fixture(Personality personality = Personality::Ext4Dax,
                      std::uint64_t bytes = 256ULL << 20)
-        : pmem(mem::Kind::Pmem, bytes, cm, mem::Backing::Sparse),
+        : pmem(mem::Kind::Pmem, bytes, cm),
           fs(personality, pmem, 0, bytes, cm)
     {}
 
@@ -987,8 +987,7 @@ TEST(Aging, PinnedSeedProfileIsBitStable)
     config.lowWaterDelta = 0.10;
 
     sim::CostModel cm;
-    mem::Device pmem(mem::Kind::Pmem, 256ULL << 20, cm,
-                     mem::Backing::Sparse);
+    mem::Device pmem(mem::Kind::Pmem, 256ULL << 20, cm);
     FileSystem fs(Personality::Ext4Dax, pmem, 0, 256ULL << 20, cm);
     const AgingReport r = ageFileSystem(fs, config);
     EXPECT_EQ(r.filesCreated, 24688u);

@@ -26,19 +26,9 @@ scratchCpu()
 
 } // namespace
 
-TEST(Device, FullBackingRoundTripsBytes)
-{
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Full);
-    const char msg[] = "persistent";
-    dev.store(4096, msg, sizeof(msg));
-    char out[sizeof(msg)] = {};
-    dev.fetch(4096, out, sizeof(msg));
-    EXPECT_STREQ(out, msg);
-}
-
 TEST(Device, SparseBackingRoundTripsBytes)
 {
-    Device dev(Kind::Pmem, 1ULL << 30, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1ULL << 30, cm);
     const char msg[] = "sparse-page";
     // Cross a page boundary on purpose.
     dev.store(8190, msg, sizeof(msg));
@@ -50,7 +40,7 @@ TEST(Device, SparseBackingRoundTripsBytes)
 
 TEST(Device, SparseUntouchedReadsZero)
 {
-    Device dev(Kind::Pmem, 1ULL << 30, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1ULL << 30, cm);
     std::uint8_t buf[64];
     std::memset(buf, 0xff, sizeof(buf));
     dev.fetch(123456789 / 64 * 64, buf, sizeof(buf));
@@ -61,7 +51,7 @@ TEST(Device, SparseUntouchedReadsZero)
 
 TEST(Device, ZeroReclaimsWholeSparsePages)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     const std::uint64_t v = 42;
     dev.store(4096, &v, sizeof(v));
     EXPECT_FALSE(dev.isZero(4096, 4096));
@@ -72,7 +62,7 @@ TEST(Device, ZeroReclaimsWholeSparsePages)
 
 TEST(Device, WordAccessors)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     dev.storeWord(512, 0xdeadbeefcafef00dULL);
     EXPECT_EQ(dev.loadWord(512), 0xdeadbeefcafef00dULL);
     EXPECT_EQ(dev.loadWord(520), 0u);
@@ -80,7 +70,7 @@ TEST(Device, WordAccessors)
 
 TEST(Device, OutOfRangeThrows)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     std::uint8_t b = 0;
     EXPECT_THROW(dev.fetch((1 << 20), &b, 1), std::out_of_range);
     EXPECT_THROW(dev.store((1 << 20) - 1, &b, 2), std::out_of_range);
@@ -88,7 +78,7 @@ TEST(Device, OutOfRangeThrows)
 
 TEST(Device, SparseWriteStraddlingPagesKeepsEveryByte)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     // A write spanning three host pages, starting and ending mid-page.
     std::uint8_t buf[2 * kPageSize + 100];
     for (std::size_t i = 0; i < sizeof(buf); i++)
@@ -110,7 +100,7 @@ TEST(Device, SparseWriteStraddlingPagesKeepsEveryByte)
 
 TEST(Device, IsZeroAcrossMaterializedAndUnmaterializedPages)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     // Page 1: materialized with nonzero content. Page 3: materialized
     // but all-zero (stored zeros). Pages 0, 2, 4: never touched.
     const std::uint8_t nz = 5;
@@ -130,7 +120,7 @@ TEST(Device, IsZeroAcrossMaterializedAndUnmaterializedPages)
 
 TEST(Device, CheckRangeRejectsOverflowingRanges)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     std::uint8_t b = 0;
     // addr + bytes would wrap around 2^64: must be rejected, not
     // silently accepted by a naive addr + bytes <= capacity check.
@@ -148,14 +138,14 @@ TEST(Device, CheckRangeRejectsOverflowingRanges)
 
 TEST(Device, PmemLoadLatencyExceedsDram)
 {
-    Device pmem(Kind::Pmem, 1 << 20, cm, Backing::None);
-    Device dram(Kind::Dram, 1 << 20, cm, Backing::None);
+    Device pmem(Kind::Pmem, 1 << 20, cm);
+    Device dram(Kind::Dram, 1 << 20, cm);
     EXPECT_GT(pmem.loadLatency(), dram.loadLatency());
 }
 
 TEST(Device, SequentialReadChargesBandwidth)
 {
-    Device dev(Kind::Pmem, 16 << 20, cm, Backing::None);
+    Device dev(Kind::Pmem, 16 << 20, cm);
     auto cpu = scratchCpu();
     const sim::Time t =
         dev.read(cpu, 0, 6 * 1000 * 1000, Pattern::Seq);
@@ -165,7 +155,7 @@ TEST(Device, SequentialReadChargesBandwidth)
 
 TEST(Device, RandomReadAddsLatency)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::None);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     auto seqCpu = scratchCpu();
     auto randCpu = scratchCpu();
     const sim::Time seq = dev.read(seqCpu, 0, 1024, Pattern::Seq);
@@ -175,7 +165,7 @@ TEST(Device, RandomReadAddsLatency)
 
 TEST(Device, NtStoreFasterThanClwbPath)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::None);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     auto a = scratchCpu();
     auto b = scratchCpu();
     const sim::Time nt =
@@ -189,17 +179,18 @@ TEST(Device, NtStoreFasterThanClwbPath)
 
 TEST(Device, KernelCopySlowerThanUser)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::None);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     auto a = scratchCpu();
     auto b = scratchCpu();
     const sim::Time user = dev.read(a, 0, 1 << 16, Pattern::Seq);
-    const sim::Time kernel = dev.readKernel(b, 0, 1 << 16, Pattern::Seq);
+    const sim::Time kernel =
+        dev.read(b, 0, 1 << 16, Pattern::Seq, cm.kernelCopyFactor);
     EXPECT_GT(kernel, user);
 }
 
 TEST(Device, WriteBandwidthBelowReadBandwidth)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::None);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     auto a = scratchCpu();
     auto b = scratchCpu();
     const sim::Time rd = dev.read(a, 0, 1 << 20, Pattern::Seq);
@@ -208,13 +199,106 @@ TEST(Device, WriteBandwidthBelowReadBandwidth)
     EXPECT_GT(wr, rd);
 }
 
+TEST(Device, TimedCopyChargesMatchTheParent)
+{
+    // One 65,636-byte copy per cell on a fresh device and a Cpu whose
+    // clock starts at 1 us. The charges were recorded from the user
+    // and kernel copy paths before they shared one body, so a user
+    // copy costs what it did and a kernel copy costs the same at
+    // kernelCopyFactor. One cell moved: a kernel CachedFlush Rand
+    // write used to add a load latency that the user path never
+    // charged, and it now follows the user rule (no latency).
+    const std::uint64_t bytes = 65536 + 100;
+    const sim::Time start = 1000;
+    struct ReadCell
+    {
+        Kind kind;
+        bool kernel;
+        Pattern pattern;
+        sim::Time elapsed;
+    };
+    const ReadCell reads[] = {
+        {Kind::Dram, false, Pattern::Seq, 5470},
+        {Kind::Dram, false, Pattern::Rand, 5555},
+        {Kind::Dram, true, Pattern::Seq, 9945},
+        {Kind::Dram, true, Pattern::Rand, 10030},
+        {Kind::Pmem, false, Pattern::Seq, 10939},
+        {Kind::Pmem, false, Pattern::Rand, 11244},
+        {Kind::Pmem, true, Pattern::Seq, 19890},
+        {Kind::Pmem, true, Pattern::Rand, 20195},
+    };
+    for (const ReadCell &c : reads) {
+        SCOPED_TRACE(::testing::Message()
+                     << "read kind=" << int(c.kind) << " kernel="
+                     << c.kernel << " pattern=" << int(c.pattern));
+        Device dev(c.kind, 1 << 20, cm);
+        auto cpu = scratchCpu();
+        cpu.advance(start);
+        const sim::Time t = dev.read(cpu, 4096, bytes, c.pattern,
+                                     c.kernel ? cm.kernelCopyFactor : 1.0);
+        EXPECT_EQ(t, c.elapsed);
+        EXPECT_EQ(cpu.now(), start + c.elapsed);
+    }
+
+    struct WriteCell
+    {
+        Kind kind;
+        bool kernel;
+        WriteMode mode;
+        Pattern pattern;
+        sim::Time elapsed;
+    };
+    const WriteCell writes[] = {
+        {Kind::Dram, false, WriteMode::Cached, Pattern::Seq, 7293},
+        {Kind::Dram, false, WriteMode::Cached, Pattern::Rand, 7293},
+        {Kind::Dram, false, WriteMode::NtStore, Pattern::Seq, 7293},
+        {Kind::Dram, false, WriteMode::NtStore, Pattern::Rand, 7378},
+        {Kind::Dram, false, WriteMode::CachedFlush, Pattern::Seq, 7293},
+        {Kind::Dram, false, WriteMode::CachedFlush, Pattern::Rand, 7293},
+        {Kind::Dram, true, WriteMode::Cached, Pattern::Seq, 13260},
+        {Kind::Dram, true, WriteMode::Cached, Pattern::Rand, 13260},
+        {Kind::Dram, true, WriteMode::NtStore, Pattern::Seq, 13260},
+        {Kind::Dram, true, WriteMode::NtStore, Pattern::Rand, 13345},
+        {Kind::Dram, true, WriteMode::CachedFlush, Pattern::Seq, 13260},
+        // Was 13345 (the kernel-only load latency).
+        {Kind::Dram, true, WriteMode::CachedFlush, Pattern::Rand, 13260},
+        {Kind::Pmem, false, WriteMode::Cached, Pattern::Seq, 7293},
+        {Kind::Pmem, false, WriteMode::Cached, Pattern::Rand, 7293},
+        {Kind::Pmem, false, WriteMode::NtStore, Pattern::Seq, 29835},
+        {Kind::Pmem, false, WriteMode::NtStore, Pattern::Rand, 30140},
+        {Kind::Pmem, false, WriteMode::CachedFlush, Pattern::Seq, 59669},
+        {Kind::Pmem, false, WriteMode::CachedFlush, Pattern::Rand, 59669},
+        {Kind::Pmem, true, WriteMode::Cached, Pattern::Seq, 13260},
+        {Kind::Pmem, true, WriteMode::Cached, Pattern::Rand, 13260},
+        {Kind::Pmem, true, WriteMode::NtStore, Pattern::Seq, 54245},
+        {Kind::Pmem, true, WriteMode::NtStore, Pattern::Rand, 54550},
+        {Kind::Pmem, true, WriteMode::CachedFlush, Pattern::Seq, 108489},
+        // Was 108794 (the kernel-only load latency).
+        {Kind::Pmem, true, WriteMode::CachedFlush, Pattern::Rand, 108489},
+    };
+    for (const WriteCell &c : writes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "write kind=" << int(c.kind) << " kernel="
+                     << c.kernel << " mode=" << int(c.mode)
+                     << " pattern=" << int(c.pattern));
+        Device dev(c.kind, 1 << 20, cm);
+        auto cpu = scratchCpu();
+        cpu.advance(start);
+        const sim::Time t =
+            dev.write(cpu, 4096, bytes, c.mode, c.pattern,
+                      c.kernel ? cm.kernelCopyFactor : 1.0);
+        EXPECT_EQ(t, c.elapsed);
+        EXPECT_EQ(cpu.now(), start + c.elapsed);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Media errors: poisoned lines and machine checks
 // ---------------------------------------------------------------------
 
 TEST(MediaError, PoisonedLineRaisesOnReadsOnly)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     const std::uint64_t v = 7;
     dev.store(4096, &v, sizeof(v));
     dev.poisonLine(4096 + 8); // anywhere inside the line poisons it
@@ -226,7 +310,7 @@ TEST(MediaError, PoisonedLineRaisesOnReadsOnly)
     auto cpu = scratchCpu();
     EXPECT_THROW(dev.read(cpu, 4096, 64, Pattern::Seq),
                  MachineCheckException);
-    EXPECT_THROW(dev.readKernel(cpu, 4096, 64, Pattern::Seq),
+    EXPECT_THROW(dev.read(cpu, 4096, 64, Pattern::Seq, cm.kernelCopyFactor),
                  MachineCheckException);
     EXPECT_EQ(dev.mceRaised(), 3u);
 
@@ -251,7 +335,7 @@ TEST(MediaError, PoisonedLineRaisesOnReadsOnly)
 
 TEST(MediaError, MachineCheckCarriesLineAddress)
 {
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     const Paddr line = 8192 + 3 * 64;
     dev.poisonLine(line + 17);
     std::uint8_t buf[256];
@@ -270,8 +354,8 @@ TEST(MediaError, BackgroundUesAreSeedDeterministic)
     sim::MediaSpec spec;
     spec.seed = 42;
     spec.backgroundRate = 0.01;
-    Device a(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
-    Device b(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device a(Kind::Pmem, 1 << 20, cm);
+    Device b(Kind::Pmem, 1 << 20, cm);
     a.setMedia(&spec);
     b.setMedia(&spec);
 
@@ -300,7 +384,7 @@ TEST(MediaError, WearOutPoisonsHotLines)
     sim::MediaSpec spec;
     spec.seed = 7;
     spec.wearScale = 8; // tiny write budgets: lines die fast
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     dev.setMedia(&spec);
 
     // Hammer one line with durable stores until its budget runs out.
@@ -322,7 +406,7 @@ TEST(MediaError, CrashPoisonsTornNtStore)
 {
     sim::MediaSpec spec;
     spec.poisonTornStore = true;
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     dev.setMedia(&spec);
 
     // The crash plan fires from the durable-store boundary: the store
@@ -347,7 +431,7 @@ TEST(MediaError, CompletedStoreIsNotTorn)
 {
     sim::MediaSpec spec;
     spec.poisonTornStore = true;
-    Device dev(Kind::Pmem, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Pmem, 1 << 20, cm);
     dev.setMedia(&spec);
 
     // No crash mid-store: completing the store clears the torn
@@ -363,7 +447,7 @@ TEST(MediaError, CompletedStoreIsNotTorn)
 
 TEST(FrameAllocator, AllocZeroesAndRecycles)
 {
-    Device dev(Kind::Dram, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Dram, 1 << 20, cm);
     FrameAllocator alloc(dev, 0, 1 << 20);
     const Paddr a = alloc.alloc();
     dev.storeWord(a, 99);
@@ -375,7 +459,7 @@ TEST(FrameAllocator, AllocZeroesAndRecycles)
 
 TEST(FrameAllocator, ExhaustionThrows)
 {
-    Device dev(Kind::Dram, 4 * kPageSize, cm, Backing::Sparse);
+    Device dev(Kind::Dram, 4 * kPageSize, cm);
     FrameAllocator alloc(dev, 0, 4 * kPageSize);
     for (int i = 0; i < 4; i++)
         alloc.alloc();
@@ -384,7 +468,7 @@ TEST(FrameAllocator, ExhaustionThrows)
 
 TEST(FrameAllocator, TracksAllocatedCount)
 {
-    Device dev(Kind::Dram, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Dram, 1 << 20, cm);
     FrameAllocator alloc(dev, 0, 1 << 20);
     EXPECT_EQ(alloc.allocated(), 0u);
     const Paddr a = alloc.alloc();
@@ -397,7 +481,7 @@ TEST(FrameAllocator, TracksAllocatedCount)
 
 TEST(FrameAllocator, RejectsForeignFrees)
 {
-    Device dev(Kind::Dram, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Dram, 1 << 20, cm);
     FrameAllocator alloc(dev, 4096, 1 << 19);
     EXPECT_THROW(alloc.free(0), std::invalid_argument);
     EXPECT_THROW(alloc.free(4097), std::invalid_argument);
@@ -408,7 +492,7 @@ TEST(FrameAllocator, DoubleFreeThrows)
     // Regression: the freelist used to accept the same frame twice and
     // later hand it out to two owners. A per-frame allocation bitmap
     // now rejects the second free.
-    Device dev(Kind::Dram, 1 << 20, cm, Backing::Sparse);
+    Device dev(Kind::Dram, 1 << 20, cm);
     FrameAllocator alloc(dev, 0, 1 << 20);
     const Paddr a = alloc.alloc();
     alloc.free(a);

@@ -54,10 +54,8 @@ cpuOn(int core)
 struct ArchFixture
 {
     sim::CostModel cm;
-    mem::Device dram{mem::Kind::Dram, 64ULL << 20, cm,
-                     mem::Backing::Sparse};
-    mem::Device pmemDev{mem::Kind::Pmem, 64ULL << 20, cm,
-                        mem::Backing::Sparse};
+    mem::Device dram{mem::Kind::Dram, 64ULL << 20, cm};
+    mem::Device pmemDev{mem::Kind::Pmem, 64ULL << 20, cm};
     mem::FrameAllocator dramFrames{dram, 0, 64ULL << 20};
     mem::FrameAllocator pmemFrames{pmemDev, 0, 64ULL << 20};
 };
@@ -374,11 +372,11 @@ struct TwinTables
 {
     sim::CostModel cm;
     mem::Device dram[2] = {
-        {mem::Kind::Dram, 16ULL << 20, cm, mem::Backing::Sparse},
-        {mem::Kind::Dram, 16ULL << 20, cm, mem::Backing::Sparse}};
+        {mem::Kind::Dram, 16ULL << 20, cm},
+        {mem::Kind::Dram, 16ULL << 20, cm}};
     mem::Device pmem[2] = {
-        {mem::Kind::Pmem, 16ULL << 20, cm, mem::Backing::Sparse},
-        {mem::Kind::Pmem, 16ULL << 20, cm, mem::Backing::Sparse}};
+        {mem::Kind::Pmem, 16ULL << 20, cm},
+        {mem::Kind::Pmem, 16ULL << 20, cm}};
     mem::FrameAllocator dramFrames[2] = {{dram[0], 0, 16ULL << 20},
                                          {dram[1], 0, 16ULL << 20}};
     mem::FrameAllocator pmemFrames[2] = {{pmem[0], 0, 16ULL << 20},
@@ -408,7 +406,7 @@ struct TwinTables
 
 namespace dax::arch {
 
-void
+static void
 PrintTo(const WalkResult &w, std::ostream *os)
 {
     *os << "{present=" << w.present << " paddr=0x" << std::hex << w.paddr

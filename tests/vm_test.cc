@@ -270,6 +270,28 @@ TEST(DirtyTracking, MsyncFlushesAndRestartsTracking)
     EXPECT_EQ(f.system.vmm().dirtyPages(ino), 1u);
 }
 
+TEST(DirtyTracking, PartialMsyncKeepsTheUnsyncedEnds)
+{
+    Fixture f;
+    const fs::Ino ino = f.system.makeFile("/f", 8 * 4096);
+    const std::uint64_t va =
+        f.as->mmap(f.cpu, ino, 0, 8 * 4096, true, 0);
+    f.as->memWrite(f.cpu, va, 8 * 4096, mem::Pattern::Seq,
+                   mem::WriteMode::Cached);
+    ASSERT_EQ(f.system.vmm().dirtyPages(ino), 8u);
+    // Sync pages 2-4 only: the dirty interval splits around them.
+    ASSERT_TRUE(f.as->msync(f.cpu, va + 2 * 4096, 3 * 4096));
+    const fs::IntervalMap expected = {{0, 2}, {5, 3}};
+    EXPECT_EQ(f.system.vmm().dirtyOf(ino), expected);
+    EXPECT_EQ(f.system.vmm().dirtyPages(ino), 5u);
+    // A synced page is write-protected again; an unsynced one is not.
+    const auto wp = f.system.metrics().counterValue("vm.wp_faults");
+    f.as->memWrite(f.cpu, va + 3 * 4096, 8, mem::Pattern::Rand);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.wp_faults"), wp + 1);
+    f.as->memWrite(f.cpu, va + 6 * 4096, 8, mem::Pattern::Rand);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.wp_faults"), wp + 1);
+}
+
 TEST(DirtyTracking, SyncEvery10WritesCausesManyMoreFaults)
 {
     // Paper Section III-A4: one msync every 10 random 1 KB writes on a
